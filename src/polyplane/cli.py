@@ -57,7 +57,12 @@ def _bits_arg(text: str) -> BitSeq:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _add_window_args(sub: argparse.ArgumentParser) -> None:
+def _add_pattern_parser(subparsers, name: str, help_text: str, default_format: str) -> None:
+    # expand and render differ only in their help text and default format
+    sub = subparsers.add_parser(name, help=help_text)
+    group = sub.add_mutually_exclusive_group(required=True)
+    group.add_argument("--expr", help="pattern expression")
+    group.add_argument("--stdin", action="store_true", help="read the expression from stdin")
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--grid", type=_grid_arg, metavar="MxN",
                        help="inclusive max exponents of the visible grid")
@@ -65,15 +70,7 @@ def _add_window_args(sub: argparse.ArgumentParser) -> None:
                        help="grid size in cells (W = m+1, H = n+1)")
     sub.add_argument("--mode", choices=("window", "wrap"), default="window",
                      help="series truncation (window) or torus arithmetic (wrap)")
-
-
-def _add_expr_args(sub: argparse.ArgumentParser) -> None:
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--expr", help="pattern expression")
-    group.add_argument("--stdin", action="store_true", help="read the expression from stdin")
-
-
-def _add_render_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--format", choices=FORMATS, default=default_format)
     sub.add_argument("--origin", choices=("top-left", "bottom-left"), default="top-left")
     sub.add_argument("--glyph-on", default="#", metavar="CH")
     sub.add_argument("--glyph-off", default=".", metavar="CH")
@@ -89,17 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    expand = sub.add_parser("expand", help="evaluate a pattern expression on a grid")
-    _add_expr_args(expand)
-    _add_window_args(expand)
-    expand.add_argument("--format", choices=FORMATS, default="terms")
-    _add_render_args(expand)
-
-    render = sub.add_parser("render", help="render a pattern expression")
-    _add_expr_args(render)
-    _add_window_args(render)
-    render.add_argument("--format", choices=FORMATS, default="ascii")
-    _add_render_args(render)
+    _add_pattern_parser(sub, "expand", "evaluate a pattern expression on a grid", "terms")
+    _add_pattern_parser(sub, "render", "render a pattern expression", "ascii")
 
     order = sub.add_parser("order", help="order of a ring element")
     order.add_argument("--element", required=True, help="polynomial text, e.g. '1+x'")
@@ -138,11 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _window(args: argparse.Namespace) -> Window:
-    m, n = args.grid
-    return Window(m, n, args.mode)
-
-
 def _config(args: argparse.Namespace) -> RenderConfig:
     perspective = None
     if args.rx is not None or args.ry is not None:
@@ -160,7 +143,7 @@ def _config(args: argparse.Namespace) -> RenderConfig:
 
 
 def _run_expand(args: argparse.Namespace) -> str | bytes:
-    window = _window(args)
+    window = Window(*args.grid, args.mode)
     text = args.expr if args.expr is not None else sys.stdin.read()
     pattern = evaluate(parse(text), window)
     if args.format == "terms":
@@ -261,3 +244,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     raise SystemExit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

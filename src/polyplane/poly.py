@@ -9,6 +9,7 @@ zero polynomial.
 Polynomials double as binary pictures: monomial (i, j) marks the cell in
 column i, row j of a grid.  A :class:`Window` fixes the visible part of
 the grid by inclusive maximum exponents, giving (m+1) x (n+1) cells.
+Whole-window code packs row j of a grid into an int whose bit i is cell (i, j).
 """
 
 from __future__ import annotations
@@ -24,6 +25,14 @@ def diag_key(mono: Monomial) -> tuple[int, int]:
     """Sort key of the antidiagonal term order: total degree, then y."""
     i, j = mono
     return (i + j, j)
+
+
+def set_bits(row: int) -> Iterator[int]:
+    """Indices of the set bits of a nonnegative int, lowest first."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
 
 
 def term_text(mono: Monomial) -> str:
@@ -97,6 +106,11 @@ class PatternPoly:
         self = object.__new__(cls)
         object.__setattr__(self, "support", support)
         return self
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[int]) -> "PatternPoly":
+        """The cells (i, j) with bit i set in rows[j]."""
+        return cls._raw(frozenset((i, j) for j, row in enumerate(rows) for i in set_bits(row)))
 
     @classmethod
     def monomial(cls, i: int, j: int) -> "PatternPoly":

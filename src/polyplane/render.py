@@ -10,8 +10,9 @@ config shrinks cell widths and heights geometrically along the axes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .poly import PatternPoly, Window
+from .poly import PatternPoly, Window, set_bits
 
 
 @dataclass(frozen=True)
@@ -48,30 +49,29 @@ class RenderConfig:
 DEFAULT_CONFIG = RenderConfig()
 
 
-def _row_order(window: Window, config: RenderConfig) -> range:
-    if config.origin == "top_left":
-        return range(window.n + 1)
-    return range(window.n, -1, -1)
+def _rows(p: PatternPoly, window: Window, config: RenderConfig) -> list[int]:
+    # Window rows in display order; bit i of row j is cell (i, j), other cells are dropped.
+    rows = [0] * window.height
+    for i, j in p.support:
+        if 0 <= i <= window.m and 0 <= j <= window.n:
+            rows[j] |= 1 << i
+    return rows if config.origin == "top_left" else rows[::-1]
 
 
 def render_ascii(p: PatternPoly, window: Window, config: RenderConfig = DEFAULT_CONFIG) -> str:
     """Character-grid rendering, one line per row."""
-    lines = []
-    for j in _row_order(window, config):
-        lines.append(
-            "".join(
-                config.glyph_on if (i, j) in p.support else config.glyph_off
-                for i in range(window.m + 1)
-            )
-        )
-    return "\n".join(lines)
+    glyphs = str.maketrans("10", config.glyph_on + config.glyph_off)
+    return "\n".join(
+        format(row, f"0{window.width}b")[::-1].translate(glyphs)
+        for row in _rows(p, window, config)
+    )
 
 
 def render_pbm(p: PatternPoly, window: Window) -> bytes:
     """Plain PBM (P1) bytes; 1 marks a pattern point, row 0 is y = 0."""
     lines = ["P1", f"{window.width} {window.height}"]
-    for j in range(window.n + 1):
-        lines.append(" ".join("1" if (i, j) in p.support else "0" for i in range(window.m + 1)))
+    rows = _rows(p, window, DEFAULT_CONFIG)  # the default origin is top_left
+    lines += (" ".join(format(row, f"0{window.width}b")[::-1]) for row in rows)
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -97,16 +97,15 @@ def render_svg(p: PatternPoly, window: Window, config: RenderConfig = DEFAULT_CO
         f'width="{_fmt(total_w)}" height="{_fmt(total_h)}" '
         f'viewBox="0 0 {_fmt(total_w)} {_fmt(total_h)}">',
     ]
+    # column k starts at widths[0] + ... + widths[k-1], summed left to right
+    columns = [(_fmt(x), _fmt(w)) for x, w in zip(accumulate(widths, initial=0.0), widths)]
     y = 0.0
-    for l, j in enumerate(_row_order(window, config)):
-        x = 0.0
-        for k in range(window.m + 1):
-            if (k, j) in p.support:
-                lines.append(
-                    f'<rect x="{_fmt(x)}" y="{_fmt(y)}" '
-                    f'width="{_fmt(widths[k])}" height="{_fmt(heights[l])}" fill="#000"/>'
-                )
-            x += widths[k]
-        y += heights[l]
+    for height, row in zip(heights, _rows(p, window, config)):
+        for k in set_bits(row):
+            x, w = columns[k]
+            lines.append(
+                f'<rect x="{x}" y="{_fmt(y)}" width="{w}" height="{_fmt(height)}" fill="#000"/>'
+            )
+        y += height
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .poly import PatternPoly
+from .poly import ONE, PatternPoly, Window
+from .series import check_denominator, expand_rows
 
 
 class BitSeq:
@@ -82,12 +83,19 @@ def _is_odd_prime(p: int) -> bool:
 
 
 def _order_of_two(p: int) -> int:
-    power = 2 % p
-    k = 1
-    while power != 1:
-        power = power * 2 % p
-        k += 1
-    return k
+    # ord_p(2) divides p - 1: for each prime factor f of p - 1, found by trial
+    # division, divide it out once per power of f while 2 stays a root of unity.
+    order = rest = p - 1
+    f = 2
+    while rest > 1:
+        if f * f > rest:
+            f = rest
+        while rest % f == 0:
+            rest //= f
+            if pow(2, order // f, p) == 1:
+                order //= f
+        f += 1
+    return order
 
 
 def dseq(p: int, count: int) -> BitSeq:
@@ -112,25 +120,19 @@ def poly_reciprocal_seq(q: PatternPoly, count: int) -> BitSeq:
     """Coefficients of the series 1/q(x) for univariate q with constant term.
 
     This is the output of the linear feedback shift register whose taps
-    are the nonzero powers of q: c[k] = sum of c[k-a] over taps a.
+    are the nonzero powers of q: c[k] = sum of c[k-a] over taps a, that
+    is, row 0 of the series expansion of 1/q.  The period hint is ord(q),
+    the true period, when the prefix shows it: the prefix period t is
+    reported when t + max(deg q, 1) <= count, since then the register
+    state repeats inside the prefix.  Otherwise the hint is None.
     """
     if count < 1:
         raise ValueError("count must be positive")
-    if (0, 0) not in q.support:
-        raise ValueError("polynomial has no constant term")
+    check_denominator(q)
     if any(j != 0 for _, j in q.support):
         raise ValueError("polynomial must be univariate in x")
-    taps = sorted(a for a, _ in q.support if a > 0)
-    bits = []
-    for k in range(count):
-        if k == 0:
-            bit = 1
-        else:
-            bit = 0
-            for a in taps:
-                if k - a >= 0:
-                    bit ^= bits[k - a]
-                # indices below zero contribute nothing: the series is one-sided
-        bits.append(bit)
-    hint = period(BitSeq(bits))
-    return BitSeq(bits, period_hint=hint)
+    row = expand_rows(ONE, q, Window(count - 1, 0))[0]
+    bits = format(row, f"0{count}b")[::-1]
+    t = period(BitSeq(bits))
+    degree = max(a for a, _ in q.support)
+    return BitSeq(bits, period_hint=t if t + max(degree, 1) <= count else None)

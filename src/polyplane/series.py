@@ -47,17 +47,18 @@ class RationalTerm:
         check_denominator(self.denominator)
 
 
-def _expand(num: PatternPoly, den: PatternPoly, window: Window) -> PatternPoly:
-    # Window-exact expansion of num * (1/den); den is assumed admissible.
+def expand_rows(num: PatternPoly, den: PatternPoly, window: Window) -> list[int]:
+    """Window-exact rows of num * (1/den) for admissible den: bit i of row j is cell (i, j)."""
+    out = [0] * window.height
     if not num:
-        return ZERO
+        return out
     xs = [i for i, _ in num.support]
     ys = [j for _, j in num.support]
     depth = window.n - min(ys)  # deepest series row any numerator shift can use
     if depth < 0:
-        return ZERO
+        return out
 
-    row_taps = sorted(a for a, b in den.support if b == 0 and a > 0)
+    row_taps = [a for a, b in den.support if b == 0 and a > 0]
     lower_taps = [(a, b) for a, b in den.support if b > 0]
     reach = max((abs(a) for a, _ in lower_taps), default=0)
 
@@ -67,6 +68,7 @@ def _expand(num: PatternPoly, den: PatternPoly, window: Window) -> PatternPoly:
     hi = max(0, window.m - min(xs)) + depth * reach
     width = hi - lo + 1
     mask = (1 << width) - 1
+    min_tap = min(row_taps, default=width)
 
     rows: list[int] = []
     for j in range(depth + 1):
@@ -76,46 +78,36 @@ def _expand(num: PatternPoly, den: PatternPoly, window: Window) -> PatternPoly:
                 src = rows[j - b]
                 acc ^= (src << a) if a >= 0 else (src >> -a)
         acc &= mask
-        if row_taps:
-            # resolve c[i] = acc[i] + sum over taps of c[i - a], left to right
-            row = 0
-            for t in range(width):
-                bit = acc >> t & 1
-                for a in row_taps:
-                    if t >= a:
-                        bit ^= row >> (t - a) & 1
-                if bit:
-                    row |= 1 << t
-        else:
-            row = acc
-        rows.append(row)
+        # With T the in-row taps, the row is acc / (1 + T), and over GF(2)
+        # 1 / (1 + T) = prod_k (1 + T(x^(2^k))) mod x^width.
+        step = 1
+        while min_tap * step < width:
+            term = 0
+            for a in row_taps:
+                term ^= acc << a * step
+            acc = (acc ^ term) & mask
+            step <<= 1
+        rows.append(acc)
 
-    cells: set = set()
+    # Series column i - u is bit i - u - lo; lo <= -u, so the shift is rightward.
+    keep = (1 << window.width) - 1
     for u, v in num.support:
         for j in range(max(v, 0), window.n + 1):
-            src = rows[j - v]
-            for i in range(window.m + 1):
-                si = i - u
-                if lo <= si <= hi and src >> (si - lo) & 1:
-                    key = (i, j)
-                    if key in cells:
-                        cells.remove(key)
-                    else:
-                        cells.add(key)
-    return PatternPoly(cells)
+            out[j] ^= rows[j - v] >> -(u + lo) & keep
+    return out
 
 
 def reciprocal(q: PatternPoly, window: Window) -> PatternPoly:
     """Expansion of 1/q truncated to the window."""
     check_denominator(q)
-    return _expand(ONE, q, window)
+    return PatternPoly.from_rows(expand_rows(ONE, q, window))
 
 
 def eval_term(term: RationalTerm, window: Window) -> PatternPoly:
     """Expansion of numerator/denominator truncated to the window."""
     if window.mode != "window":
         raise ValueError("eval_term needs a window-mode Window; wrap-mode division is a ring operation")
-    return _expand(term.numerator, term.denominator, window)
+    return PatternPoly.from_rows(expand_rows(term.numerator, term.denominator, window))
 
 
 def eval_sum(terms: Iterable[RationalTerm], window: Window) -> PatternPoly:

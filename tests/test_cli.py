@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -129,6 +132,16 @@ def test_dseq_composite_is_domain_error(capsys):
 def test_lfsr_command(capsys):
     assert run(["lfsr", "--poly", "1+x+x^3", "--count", "7"]) == 0
     assert capsys.readouterr().out == "1110100\n"
+
+
+@pytest.mark.parametrize("module", ["polyplane", "polyplane.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", module, "lfsr", "--poly", "1+x+x^3", "--count", "7"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout == "1110100\n"
 
 
 def test_encode_decode_round_trip(capsys):

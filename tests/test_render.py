@@ -148,3 +148,64 @@ def test_config_validation():
         Perspective(rx=0.0)
     with pytest.raises(ValueError):
         Perspective(ry=1.5)
+
+
+# -- the row renderers against per-cell references -----------------------------
+
+
+def reference_ascii(p, window, config):
+    rows = range(window.n + 1) if config.origin == "top_left" else range(window.n, -1, -1)
+    return "\n".join(
+        "".join(config.glyph_on if (i, j) in p.support else config.glyph_off for i in range(window.m + 1))
+        for j in rows
+    )
+
+
+def reference_pbm(p, window):
+    lines = ["P1", f"{window.width} {window.height}"]
+    for j in range(window.n + 1):
+        lines.append(" ".join("1" if (i, j) in p.support else "0" for i in range(window.m + 1)))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def reference_svg(p, window, config):
+    persp = config.perspective or Perspective()
+    widths = [config.cell * persp.rx**k for k in range(window.m + 1)]
+    heights = [config.cell * persp.ry**l for l in range(window.n + 1)]
+    total_w, total_h = format(sum(widths), "g"), format(sum(heights), "g")
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{total_w}" '
+        f'height="{total_h}" viewBox="0 0 {total_w} {total_h}">',
+    ]
+    rows = range(window.n + 1) if config.origin == "top_left" else range(window.n, -1, -1)
+    y = 0.0
+    for l, j in enumerate(rows):
+        x = 0.0
+        for k in range(window.m + 1):
+            if (k, j) in p.support:
+                lines.append(
+                    f'<rect x="{x:g}" y="{y:g}" width="{widths[k]:g}" height="{heights[l]:g}" fill="#000"/>'
+                )
+            x += widths[k]
+        y += heights[l]
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def test_renderers_match_per_cell_references():
+    rng = random.Random(71)
+    glyphs = [("#", "."), ("1", "0"), ("0", "1"), ("@", " ")]
+    for _ in range(300):
+        w = Window(rng.randrange(0, 12), rng.randrange(0, 12))
+        # cells up to three outside the window on every side
+        p = PatternPoly(
+            (rng.randint(-3, w.m + 3), rng.randint(-3, w.n + 3)) for _ in range(rng.randrange(40))
+        )
+        on, off = rng.choice(glyphs)
+        perspective = rng.choice([None, Perspective(rng.uniform(0.2, 1), rng.uniform(0.2, 1))])
+        cfg = RenderConfig(on, off, rng.choice(["top_left", "bottom_left"]),
+                           rng.choice([16.0, 10.0, 2.5]), perspective)
+        assert render_ascii(p, w, cfg) == reference_ascii(p, w, cfg)
+        assert render_pbm(p, w) == reference_pbm(p, w)
+        assert render_svg(p, w, cfg) == reference_svg(p, w, cfg)

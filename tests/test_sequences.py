@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from polyplane.dsl import parse_poly as P
-from polyplane.sequences import BitSeq, dseq, period, poly_reciprocal_seq
+from polyplane.poly import PatternPoly
+from polyplane.sequences import BitSeq, _is_odd_prime, _order_of_two, dseq, period, poly_reciprocal_seq
 
 
 def test_dseq_19():
@@ -33,6 +35,33 @@ def test_dseq_half_period_complement():
             assert s[k] ^ s[(k + half) % (p - 1)] == 1
 
 
+def test_order_of_two_matches_stepping():
+    def stepped(p):  # the least k >= 1 with 2^k = 1 mod p, one power at a time
+        power, k = 2 % p, 1
+        while power != 1:
+            power, k = power * 2 % p, k + 1
+        return k
+
+    for p in range(3, 3000, 2):
+        if _is_odd_prime(p):
+            assert _order_of_two(p) == stepped(p), p
+
+
+def test_dseq_hint_of_a_large_prime():
+    p = 100000007
+    h = dseq(p, 4).period_hint
+    assert pow(2, h, p) == 1
+    f, rest = 2, h
+    while rest > 1:  # every prime factor f of h: 2^(h/f) != 1
+        if f * f > rest:
+            f = rest
+        if rest % f == 0:
+            assert pow(2, h // f, p) != 1
+            while rest % f == 0:
+                rest //= f
+        f += 1
+
+
 def test_lfsr_sequence_phase():
     assert str(poly_reciprocal_seq(P("1+x+x^3"), 7)) == "1110100"
 
@@ -49,6 +78,36 @@ def test_lfsr_rejects_bad_polynomials():
         poly_reciprocal_seq(P("1+x+y"), 7)  # not univariate
     with pytest.raises(ValueError):
         poly_reciprocal_seq(P("1+x"), 0)
+    with pytest.raises(ValueError):
+        poly_reciprocal_seq(P("1+x^-1+x"), 7)  # a negative tap is not a shift register
+
+
+def test_lfsr_hint_is_none_while_the_prefix_is_too_short():
+    assert poly_reciprocal_seq(P("1+x+x^3"), 3).period_hint is None  # prefix 111 looks like period 1
+    assert poly_reciprocal_seq(P("1"), 5).period_hint is None  # 10000 never repeats
+
+
+def clmod(a, q):
+    """a mod q for GF(2) polynomials packed as ints (bit k is x^k)."""
+    while a.bit_length() >= q.bit_length():
+        a ^= q << (a.bit_length() - q.bit_length())
+    return a
+
+
+def poly_order(q):
+    """ord(q): the least e >= 1 with q | x^e - 1, by brute force; q has constant term 1."""
+    e, power = 1, clmod(2, q)
+    while power != clmod(1, q):
+        e, power = e + 1, clmod(power << 1, q)
+    return e
+
+
+@given(st.integers(0, 255), st.integers(1, 600))
+def test_lfsr_hint_is_the_order_of_q(upper, count):
+    q = 1 | upper << 1  # degree <= 8, constant term 1
+    s = poly_reciprocal_seq(PatternPoly((a, 0) for a in range(9) if q >> a & 1), count)
+    if s.period_hint is not None:
+        assert s.period_hint == poly_order(q)
 
 
 def test_lfsr_maximal_length():

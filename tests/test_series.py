@@ -197,3 +197,53 @@ def test_zero_numerator_expands_to_zero():
 
 def test_numerator_above_window_expands_to_zero():
     assert eval_term(RationalTerm(P("y^9"), P("1+x")), Window(4, 3)) == ZERO
+
+
+# -- the row engine against a cell-by-cell reference -----------------------
+
+
+def reference_expand(num, den, window):
+    """num * (1/den) on the window, resolving each series row bit by bit."""
+    if not num:
+        return ZERO
+    depth = window.n - min(j for _, j in num.support)
+    if depth < 0:
+        return ZERO
+    row_taps = sorted(a for a, b in den.support if b == 0 and a > 0)
+    lower_taps = [(a, b) for a, b in den.support if b > 0]
+    reach = max((abs(a) for a, _ in lower_taps), default=0)
+    lo = min(0, -max(i for i, _ in num.support)) - depth * reach
+    hi = max(0, window.m - min(i for i, _ in num.support)) + depth * reach
+    series = []  # series[j] is the set of columns lit in series row j
+    for j in range(depth + 1):
+        row = set()
+        for t in range(lo, hi + 1):
+            bit = 1 if (j, t) == (0, 0) else 0
+            for a, b in lower_taps:
+                if b <= j and t - a in series[j - b]:
+                    bit ^= 1
+            for a in row_taps:
+                if t - a in row:
+                    bit ^= 1
+            if bit:
+                row.add(t)
+        series.append(row)
+    cells = set()
+    for u, v in num.support:
+        for j in range(max(v, 0), window.n + 1):
+            for i in range(window.m + 1):
+                if i - u in series[j - v]:
+                    cells ^= {(i, j)}
+    return PatternPoly(cells)
+
+
+def test_expansion_matches_cell_by_cell_reference():
+    rng = random.Random(97)
+    for _ in range(150):
+        den = {(0, 0)}
+        den |= {(rng.randint(1, 6), 0) for _ in range(rng.randrange(0, 4))}
+        den |= {(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randrange(0, 3))}
+        num = {(rng.randint(-4, 6), rng.randint(-3, 6)) for _ in range(rng.randrange(0, 4))}
+        w = Window(rng.randrange(0, 16), rng.randrange(0, 16))
+        term = RationalTerm(PatternPoly(num), PatternPoly(den))
+        assert eval_term(term, w) == reference_expand(term.numerator, term.denominator, w)
