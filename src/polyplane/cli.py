@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .dsl import evaluate, parse, parse_poly
 from .folding import SCHEMES, fold
@@ -79,6 +80,7 @@ def _add_pattern_parser(subparsers, name: str, help_text: str, default_format: s
     sub.add_argument("--ry", type=float, default=None, help="SVG row height decay ratio")
 
 
+@cache  # built once per process: parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyplane",

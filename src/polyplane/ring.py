@@ -6,6 +6,12 @@ elements.  Monomials form a multiplicative group isomorphic to
 Z_m x Z_n; general elements may be units or zero divisors, and both
 kinds get a well-defined notion of order (see :meth:`QuotientRing.order`).
 
+Products are taken on residues packed into one int: cell (i, j) is bit
+j*(2m-1) + i.  The stride of 2m-1 leaves room for the columns 0..2m-2 of
+a plain product, so one carry-less multiply (an XOR of shifted copies)
+forms all its rows without collisions, and two whole-int folds reduce
+it: rows j >= n onto j - n, then columns i >= m onto i - m.
+
 Invertibility is decided by Gaussian elimination over GF(2) on the
 multiplication-by-a matrix; its null space supplies zero-divisor
 witnesses (:meth:`QuotientRing.annihilator`).
@@ -14,12 +20,15 @@ witnesses (:meth:`QuotientRing.annihilator`).
 from __future__ import annotations
 
 from functools import cached_property
+from math import lcm
 from typing import Iterator
 
-from .poly import ONE, PatternPoly, diag_key
+from .numtheory import carryless_square, least_divisor, order_of_two, prime_factors
+from .poly import PatternPoly, diag_key, set_bits
 
 MAX_TABLE_CELLS = 64  # m*n bound for mul_table
 MAX_ENUM_BITS = 24  # m*n bound for enumerate_nonzero
+MAX_FIELD_DEGREE = 1024  # bound for order on L = ord_lcm(m',n')(2), see _exponent
 
 
 class QuotientRing:
@@ -30,6 +39,11 @@ class QuotientRing:
             raise ValueError("moduli must be positive")
         self.m = m
         self.n = n
+        self._stride = stride = 2 * m - 1
+        self._rows = (1 << n * stride) - 1  # the rows 0..n-1 of the packed layout
+        cell_column = self._rows // ((1 << stride) - 1)  # bit 0 of every row
+        self._cols = cell_column * ((1 << m) - 1)  # columns 0..m-1 of every row
+        self._wrap = cell_column * ((1 << m - 1) - 1)  # columns 0..m-2
 
     def __repr__(self) -> str:
         return f"QuotientRing({self.m}, {self.n})"
@@ -68,7 +82,54 @@ class QuotientRing:
 
     def mul(self, a: PatternPoly, b: PatternPoly) -> PatternPoly:
         """Product in the ring."""
-        return self.reduce(a * b)
+        return self._unpack(self._mul(self._pack(a), self._pack(b)))
+
+    def _pack(self, a: PatternPoly) -> int:
+        return sum(1 << j * self._stride + i for i, j in self.reduce(a).support)
+
+    def _unpack(self, u: int) -> PatternPoly:
+        return PatternPoly._raw(frozenset(divmod(k, self._stride)[::-1] for k in set_bits(u)))
+
+    def _fold(self, u: int) -> int:
+        # a plain product, rows 0..2n-2 and columns 0..2m-2, to its residue
+        u = (u & self._rows) ^ (u >> self.n * self._stride)
+        return (u & self._cols) ^ (u >> self.m & self._wrap)
+
+    def _mul(self, u: int, v: int) -> int:
+        if u.bit_count() > v.bit_count():
+            u, v = v, u
+        acc = 0
+        while u:
+            low = u & -u
+            acc ^= v * low  # v shifted by the index of that bit
+            u ^= low
+        return self._fold(acc)
+
+    def _pow(self, u: int, e: int) -> int:
+        # left to right square-and-multiply; a square spreads bit k to bit 2k
+        acc = 1
+        for bit in format(e, "b"):
+            acc = self._fold(carryless_square(acc))
+            if bit == "1":
+                acc = self._mul(u, acc)
+        return acc
+
+    @cached_property
+    def _exponent(self) -> tuple[int, set[int]]:
+        # N with a^(N+1) = a for every element without a nilpotent part, and
+        # the primes found in it (Lidl & Niederreiter, Finite Fields, ch. 3): for
+        # m = 2^a*m' and n = 2^b*n' with m', n' odd, N = 2^max(a,b) * (2^L - 1),
+        # L being ord_lcm(m',n')(2), the degree of the field the roots of unity
+        # lie in.
+        m_twos, n_twos = self.m & -self.m, self.n & -self.n
+        field_degree = order_of_two(lcm(self.m // m_twos, self.n // n_twos))
+        if field_degree > MAX_FIELD_DEGREE:
+            raise ValueError(
+                f"orders need L = {field_degree}, the degree of the field of the"
+                f" roots of unity, to be at most {MAX_FIELD_DEGREE}"
+            )
+        exponent = max(m_twos, n_twos) * ((1 << field_degree) - 1)
+        return exponent, prime_factors(exponent)
 
     def mul_table(self) -> list[list[PatternPoly]]:
         """Full multiplication table over the monomial basis.
@@ -88,27 +149,30 @@ class QuotientRing:
         first returns to a.  Raises ValueError for 0 and for elements
         whose powers never return to a (possible when m or n is even,
         where nilpotents exist).
+
+        Unless a has a nilpotent part, which a^(N+1) != a reveals, the
+        powers a, a^2, ... cycle with a period T dividing the exponent N
+        of :attr:`_exponent`, and e = a^N is the identity of that cycle:
+        1 for a unit, an idempotent otherwise.  T is the least divisor d
+        of N with a^d = e, found by square-and-multiply in O(log N)
+        products per prime of N; the order is T for a unit, T + 1 otherwise.
+        The primes of N are those of 2^L - 1, sought within a fixed budget
+        (:func:`polyplane.numtheory.prime_factors`).  ValueError also when T
+        shares a factor with a part of 2^L - 1 that could not be split, and
+        when L exceeds MAX_FIELD_DEGREE.
         """
         a = self.reduce(a)
         if not a:
             raise ValueError("the zero element has no order")
-        if self.is_invertible(a):
-            power = a
-            k = 1
-            while power != ONE:
-                power = self.mul(power, a)
-                k += 1
-            return k
-        seen = {a}
-        power = self.mul(a, a)
-        k = 2
-        while power != a:
-            if power in seen:
-                raise ValueError(f"powers of {a} never return to it (nilpotent part)")
-            seen.add(power)
-            power = self.mul(power, a)
-            k += 1
-        return k
+        exponent, primes = self._exponent
+        u = self._pack(a)
+        e = self._pow(u, exponent)
+        if self._mul(e, u) != u:
+            raise ValueError(f"powers of {a} never return to it (nilpotent part)")
+        period = least_divisor(exponent, primes, lambda d: self._pow(u, d) == e)
+        if period is None:
+            raise ValueError(f"the order of {a} needs prime factors of 2^L - 1 that were not found")
+        return period + (e != 1)
 
     # -- linear algebra over GF(2) ------------------------------------------
 

@@ -8,10 +8,14 @@ constant term 1.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Iterable, Iterator
 
+from .numtheory import carryless_square, least_divisor, order_of_two as _order_of_two, prime_factors
 from .poly import ONE, PatternPoly, Window
 from .series import check_denominator, expand_rows
+
+MAX_HINT_DEGREE = 1024  # deg q bound for the period hint of poly_reciprocal_seq
 
 
 class BitSeq:
@@ -64,11 +68,19 @@ def period(s: BitSeq) -> int:
     """Smallest t >= 1 with s[k] == s[k+t] wherever both indices exist."""
     if len(s) == 0:
         raise ValueError("empty sequence has no period")
+    # the least period is n - fail[n], fail[k] being the length of the longest
+    # proper border of bits[:k] (Knuth, Morris & Pratt 1977); k holds fail[i]
     bits = s.bits
-    for t in range(1, len(bits) + 1):
-        if all(bits[k] == bits[k + t] for k in range(len(bits) - t)):
-            return t
-    raise AssertionError("unreachable: t = len(bits) always matches")
+    fail = [0] * (len(bits) + 1)
+    k = 0
+    for i in range(1, len(bits)):
+        b = bits[i]
+        while k and bits[k] != b:
+            k = fail[k]
+        if bits[k] == b:
+            k += 1
+        fail[i + 1] = k
+    return len(bits) - k
 
 
 def _is_odd_prime(p: int) -> bool:
@@ -82,20 +94,65 @@ def _is_odd_prime(p: int) -> bool:
     return True
 
 
-def _order_of_two(p: int) -> int:
-    # ord_p(2) divides p - 1: for each prime factor f of p - 1, found by trial
-    # division, divide it out once per power of f while 2 stays a root of unity.
-    order = rest = p - 1
-    f = 2
-    while rest > 1:
-        if f * f > rest:
-            f = rest
-        while rest % f == 0:
-            rest //= f
-            if pow(2, order // f, p) == 1:
-                order //= f
-        f += 1
-    return order
+def _divmod(a: int, b: int) -> tuple[int, int]:
+    # quotient and remainder in GF(2)[x], packed as ints (bit k is x^k)
+    quotient, size = 0, b.bit_length()
+    while (excess := a.bit_length() - size) >= 0:
+        quotient |= 1 << excess
+        a ^= b << excess
+    return quotient, a
+
+
+def _gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return a
+
+
+def _x_power_mod(d: int, q: int) -> int:
+    # x^d mod q, left to right: square, times x where d has a 1 bit, reduce
+    acc = 1
+    for bit in format(d, "b"):
+        acc = _divmod(carryless_square(acc) << (bit == "1"), q)[1]
+    return acc
+
+
+def _factor_degrees(q: int) -> dict[int, int]:
+    # Distinct-degree factorization of packed q with q(0) = 1: maps each degree d
+    # of an irreducible factor of q to the largest multiplicity among those of
+    # degree d.  gcd(q, x^(2^d) - x) is the product of the degree-d irreducible
+    # factors once each, those of lower degree having been divided out.
+    degrees = {}
+    power, d = 0b10, 0  # x^(2^d) mod q
+    while q.bit_length() - 1 >= 2 * (d + 1):  # else q is 1 or irreducible
+        d += 1
+        power = _divmod(carryless_square(power), q)[1]
+        factors, times = _gcd(q, power ^ 0b10), 0
+        while factors != 1:
+            q = _divmod(q, factors)[0]
+            factors, times = _gcd(q, factors), times + 1
+        if times:
+            degrees[d] = times
+    if q != 1:
+        degrees[q.bit_length() - 1] = 1
+    return degrees
+
+
+def _poly_order(q: int) -> int | None:
+    # ord(q), the least d >= 1 with x^d = 1 mod q, for packed q with q(0) = 1 and
+    # degree at least 1.  An irreducible factor of degree k has its order dividing
+    # 2^k - 1, and a multiplicity e multiplies that by the least 2^t >= e (Lidl &
+    # Niederreiter, Finite Fields, ch. 3).  None above MAX_HINT_DEGREE, or when
+    # the order shares a factor with a part of some 2^k - 1 left unfactored.
+    if q.bit_length() - 1 > MAX_HINT_DEGREE:
+        return None
+    degrees = _factor_degrees(q)
+    exponent = 1 << (max(degrees.values()) - 1).bit_length()
+    primes = {2}
+    for k in degrees:
+        exponent = lcm(exponent, (1 << k) - 1)
+        primes |= prime_factors((1 << k) - 1)
+    return least_divisor(exponent, primes, lambda d: _x_power_mod(d, q) == 1)
 
 
 def dseq(p: int, count: int) -> BitSeq:
@@ -122,9 +179,12 @@ def poly_reciprocal_seq(q: PatternPoly, count: int) -> BitSeq:
     This is the output of the linear feedback shift register whose taps
     are the nonzero powers of q: c[k] = sum of c[k-a] over taps a, that
     is, row 0 of the series expansion of 1/q.  The period hint is ord(q),
-    the true period, when the prefix shows it: the prefix period t is
-    reported when t + max(deg q, 1) <= count, since then the register
-    state repeats inside the prefix.  Otherwise the hint is None.
+    the least e >= 1 with q | x^e - 1, which is the true period of 1/q
+    whatever the count.  For q = 1 it is None: 1000... never repeats.  It
+    is None too where ord(q) is out of reach: above MAX_HINT_DEGREE, or when
+    it needs prime factors of some 2^k - 1 (k the degree of an irreducible
+    factor of q) that a bounded search did not find, in practice only for
+    k around 90 or more.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -133,6 +193,5 @@ def poly_reciprocal_seq(q: PatternPoly, count: int) -> BitSeq:
         raise ValueError("polynomial must be univariate in x")
     row = expand_rows(ONE, q, Window(count - 1, 0))[0]
     bits = format(row, f"0{count}b")[::-1]
-    t = period(BitSeq(bits))
-    degree = max(a for a, _ in q.support)
-    return BitSeq(bits, period_hint=t if t + max(degree, 1) <= count else None)
+    packed = sum(1 << a for a, _ in q.support)
+    return BitSeq(bits, period_hint=_poly_order(packed) if packed > 1 else None)

@@ -2,10 +2,12 @@ import io
 import os
 import subprocess
 import sys
+import time
 
 import pytest
+from sympy import factorint
 
-from polyplane.cli import run
+from polyplane.cli import build_parser, run
 
 
 def test_expand_terms(capsys):
@@ -71,6 +73,39 @@ def test_order_of_monomial(capsys):
     assert capsys.readouterr().out == "3\n"
 
 
+def test_order_of_a_unit_mod_x61_is_fast(capsys):
+    start = time.perf_counter()
+    assert run(["order", "--element", "1+x+x^2", "--mod", "61,1"]) == 0
+    assert time.perf_counter() - start < 1.0
+    k = int(capsys.readouterr().out)
+
+    def power(e):  # (1+x+x^2)^e mod x^61 - 1, as an int with bit i for x^i
+        acc, base = 1, 0b111
+        while e:
+            if e & 1:
+                acc = product(acc, base)
+            base, e = product(base, base), e >> 1
+        return acc
+
+    def product(u, v):  # carry-less product, folded by x^61 = 1
+        acc = 0
+        for i in range(61):
+            if u >> i & 1:
+                acc ^= v << i
+        return (acc ^ acc >> 61) & ((1 << 61) - 1)
+
+    assert power(k) == 1
+    for p in factorint(k):
+        assert power(k // p) != 1
+
+
+def test_order_on_a_hard_to_factor_exponent_is_fast(capsys):
+    start = time.perf_counter()
+    assert run(["order", "--element", "x", "--mod", "823,1"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == "823\n"
+
+
 def test_invert_command(capsys):
     assert run(["invert", "--element", "x", "--mod", "3,3"]) == 0
     assert capsys.readouterr().out == "x^2\n"
@@ -127,6 +162,15 @@ def test_dseq_composite_is_domain_error(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "prime" in err
+
+
+def test_lfsr_of_high_degree_is_fast(capsys):
+    # 1+x+x^137 has an irreducible factor of degree 101, and 2^101 - 1 has no
+    # prime factor that a bounded search finds; the bits come out regardless
+    start = time.perf_counter()
+    assert run(["lfsr", "--poly", "1+x+x^137", "--count", "10"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == "1111111111\n"
 
 
 def test_lfsr_command(capsys):
@@ -186,6 +230,31 @@ def test_run_is_deterministic(capsys):
     first = capsys.readouterr().out
     assert run(argv) == 0
     assert capsys.readouterr().out == first
+
+
+def test_repeated_runs_in_one_process_are_identical(capsysbinary):
+    calls = [
+        ["render", "--expr", "1/(1+x+y)", "--size", "9x7"],
+        ["order", "--element", "1+x", "--mod", "3,3"],
+        ["order", "--element", "1+x", "--mod", "3x3"],  # usage error
+        ["render", "--expr", "1/(1+x+y)", "--size", "9x7", "--format", "pbm"],
+        ["lfsr", "--poly", "1+x+x^3", "--count", "10"],
+        ["invert", "--element", "1+x", "--mod", "3,3"],  # domain error
+        ["render", "--expr", "1/(1+x+y)", "--size", "9x7"],
+    ]
+
+    def outcomes():
+        results = []
+        for argv in calls:
+            code = run(argv)
+            results.append((code, capsysbinary.readouterr().out))
+        return results
+
+    build_parser.cache_clear()
+    first = outcomes()  # the first call builds the parser, the rest reuse it
+    assert [code for code, _ in first] == [0, 0, 2, 0, 0, 1, 0]
+    assert first[0] == first[-1]
+    assert outcomes() == first
 
 
 def test_help_exits_0(capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from polyplane.dsl import parse_poly as P
 from polyplane.poly import ONE, X, ZERO, PatternPoly
-from polyplane.ring import QuotientRing
+from polyplane.ring import MAX_FIELD_DEGREE, QuotientRing
 
 R33 = QuotientRing(3, 3)
 R22 = QuotientRing(2, 2)
@@ -94,6 +94,67 @@ def test_order_lcm_formula_exhaustive():
                 for j in range(n):
                     expected = math.lcm(m // math.gcd(i, m), n // math.gcd(j, n))
                     assert ring.order(PatternPoly.monomial(i, j)) == expected
+
+
+def brute_force_order(m, n, code):
+    """The order of an element by stepping a, a^2, a^3, ... on the m x n torus.
+
+    Elements are ints whose bit i*n + j is the coefficient of x^i y^j.  The
+    step is multiplication by a, a linear map applied through two tables of
+    six-bit chunks.  Returns None where the powers never come back to a.
+    """
+    cells = [divmod(s, n) for s in range(m * n) if code >> s & 1]
+    column = [0] * 12  # column[i*n + j] is a * x^i y^j; zero past m*n
+    for t in range(m * n):
+        i, j = divmod(t, n)
+        for u, v in cells:
+            column[t] ^= 1 << ((u + i) % m * n + (v + j) % n)
+    low, high = [0] * 64, [0] * 64
+    for v in range(1, 64):
+        b = (v & -v).bit_length() - 1
+        low[v] = low[v & (v - 1)] ^ column[b]
+        high[v] = high[v & (v - 1)] ^ column[b + 6]
+    power, k, seen = code, 1, set()
+    while power != 1 and (k == 1 or power != code):
+        if power in seen:
+            return None
+        seen.add(power)
+        power, k = low[power & 63] ^ high[power >> 6], k + 1
+    return k
+
+
+def test_order_matches_brute_force_on_every_small_torus():
+    # every nonzero element of every torus with m*n <= 12, even moduli included
+    checked = 0
+    for m in range(1, 13):
+        for n in range(1, 12 // m + 1):
+            ring = QuotientRing(m, n)
+            for code in range(1, 1 << m * n):
+                a = PatternPoly(divmod(t, n) for t in range(m * n) if code >> t & 1)
+                expected = brute_force_order(m, n, code)
+                if expected is None:
+                    with pytest.raises(ValueError):
+                        ring.order(a)
+                else:
+                    assert ring.order(a) == expected, (m, n, a)
+                checked += 1
+    assert checked == 35943
+
+
+def test_order_on_a_ring_whose_exponent_is_hard_to_factor():
+    # L = ord_823(2) = 411, and 2^411 - 1 has parts that rho does not split in time
+    ring = QuotientRing(823, 1)
+    assert ring.order(X) == 823  # prime to those parts
+    idempotent = PatternPoly((i, 0) for i in range(823))  # sum of x^i squares to itself
+    assert ring.order(idempotent) == 2
+    with pytest.raises(ValueError, match="not found"):
+        ring.order(P("1+x+x^2"))
+
+
+def test_order_refuses_a_field_degree_beyond_the_bound():
+    assert MAX_FIELD_DEGREE < 2052  # L for the 2053 x 1 torus
+    with pytest.raises(ValueError, match="at most"):
+        QuotientRing(2053, 1).order(X)
 
 
 def test_inverse_of_units():

@@ -1,9 +1,21 @@
+import time
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from sympy import Poly, factorint, symbols
 
 from polyplane.dsl import parse_poly as P
 from polyplane.poly import PatternPoly
-from polyplane.sequences import BitSeq, _is_odd_prime, _order_of_two, dseq, period, poly_reciprocal_seq
+from polyplane.sequences import (
+    MAX_HINT_DEGREE,
+    BitSeq,
+    _factor_degrees,
+    _is_odd_prime,
+    _order_of_two,
+    dseq,
+    period,
+    poly_reciprocal_seq,
+)
 
 
 def test_dseq_19():
@@ -82,9 +94,58 @@ def test_lfsr_rejects_bad_polynomials():
         poly_reciprocal_seq(P("1+x^-1+x"), 7)  # a negative tap is not a shift register
 
 
-def test_lfsr_hint_is_none_while_the_prefix_is_too_short():
-    assert poly_reciprocal_seq(P("1+x+x^3"), 3).period_hint is None  # prefix 111 looks like period 1
+def test_lfsr_hint_is_the_order_of_q_even_for_a_short_prefix():
+    assert poly_reciprocal_seq(P("1+x+x^3"), 3).period_hint == 7  # prefix 111 looks like period 1
     assert poly_reciprocal_seq(P("1"), 5).period_hint is None  # 10000 never repeats
+
+
+def test_lfsr_hint_of_a_primitive_trinomial_beyond_the_prefix():
+    s = poly_reciprocal_seq(P("1+x^3+x^17"), 8010)
+    assert s.period_hint == 131071  # 2^17 - 1, far longer than the 8010 bits generated
+
+
+def test_lfsr_hint_of_high_degree_polynomials():
+    q = 1 | 1 << 1 | 1 << 100  # 1+x+x^100
+    k = poly_reciprocal_seq(PatternPoly([(0, 0), (1, 0), (100, 0)]), 10).period_hint
+    assert x_power_mod(k, q) == 1
+    assert all(x_power_mod(k // p, q) != 1 for p in factorint(k))
+    # a degree-101 factor whose order needs the unsplit 2^101 - 1, and a degree past the bound
+    assert poly_reciprocal_seq(P("1+x+x^137"), 10).period_hint is None
+    beyond = PatternPoly([(0, 0), (1, 0), (MAX_HINT_DEGREE + 1, 0)])
+    assert poly_reciprocal_seq(beyond, 10).period_hint is None
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, (1 << 24) - 1), st.integers(1, 3))
+def test_factor_degrees_match_sympy(upper, power):
+    q = 1
+    for _ in range(power):  # a power of a random polynomial has repeated factors
+        q = clmul(q, 1 | upper << 1)
+    x = symbols("x")
+    factors = Poly(sum(x ** k for k in range(q.bit_length()) if q >> k & 1), x, modulus=2).factor_list()[1]
+    expected = {}
+    for f, times in factors:
+        expected[f.degree()] = max(expected.get(f.degree(), 0), times)
+    assert _factor_degrees(q) == expected
+
+
+def x_power_mod(e, q):
+    """x^e mod q for GF(2) polynomials packed as ints, by square-and-multiply."""
+    acc, base = 1, clmod(2, q)
+    while e:
+        if e & 1:
+            acc = clmod(clmul(acc, base), q)
+        base, e = clmod(clmul(base, base), q), e >> 1
+    return acc
+
+
+def clmul(a, b):
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        a, b = a << 1, b >> 1
+    return acc
 
 
 def clmod(a, q):
@@ -106,8 +167,7 @@ def poly_order(q):
 def test_lfsr_hint_is_the_order_of_q(upper, count):
     q = 1 | upper << 1  # degree <= 8, constant term 1
     s = poly_reciprocal_seq(PatternPoly((a, 0) for a in range(9) if q >> a & 1), count)
-    if s.period_hint is not None:
-        assert s.period_hint == poly_order(q)
+    assert s.period_hint == (poly_order(q) if q > 1 else None)
 
 
 def test_lfsr_maximal_length():
@@ -122,6 +182,25 @@ def test_period_examples():
     assert period(poly_reciprocal_seq(P("1+x+x^3"), 21)) == 7
     assert period(BitSeq("1")) == 1
     assert period(BitSeq("11111")) == 1
+
+
+def test_period_is_linear_time():
+    s = BitSeq([0] * 19999 + [1])
+    start = time.perf_counter()
+    assert period(s) == 20000
+    assert time.perf_counter() - start < 1.0
+
+
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=40), st.integers(1, 4), st.integers(0, 39))
+def test_period_matches_the_quadratic_search(block, repeat, cut):
+    bits = (block * repeat)[: max(1, len(block) * repeat - cut)]  # period at most len(block)
+
+    def quadratic(bits):  # the least t >= 1 with bits[k] == bits[k + t] wherever both exist
+        for t in range(1, len(bits) + 1):
+            if all(bits[k] == bits[k + t] for k in range(len(bits) - t)):
+                return t
+
+    assert period(BitSeq(bits)) == quadratic(bits)
 
 
 def test_period_of_aperiodic_sample_is_its_length():
