@@ -129,13 +129,18 @@ def carryless_square(u: int) -> int:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Primality of an odd n > 1000 with no prime factor below 1000.
+    """Primality of an integer.
 
-    Miller-Rabin to the first 13 prime bases, exact below 3.3e24; above,
-    also a strong Lucas test, which with the base-2 Miller-Rabin test makes
-    the Baillie-PSW test (Baillie & Wagstaff 1980), with no composite
-    known to pass it.
+    Trial division by the primes below 1000, then Miller-Rabin to the
+    first 13 prime bases, exact below 3.3e24; above, also a strong Lucas
+    test, which with the base-2 Miller-Rabin test makes the Baillie-PSW
+    test (Baillie & Wagstaff 1980), with no composite known to pass it.
     """
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < _TRIAL:
+        return False  # 1 and below; a larger n < _TRIAL would have had a factor
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
     for a in _WITNESSES:

@@ -1,24 +1,27 @@
-"""Bivariate polynomials over GF(2) with set-of-monomials semantics.
+"""Bivariate polynomials over GF(2), stored as packed rows.
 
 A monomial is a plain ``(i, j)`` pair of integer exponents standing for
 x^i y^j; negative exponents are allowed (Laurent terms).  A polynomial is
-the set of monomials whose coefficient is 1, so addition is symmetric
-difference and every element is its own negative.  The empty set is the
-zero polynomial.
+determined by the set of monomials whose coefficient is 1, so addition is
+symmetric difference and every element is its own negative.  The empty
+set is the zero polynomial.
 
 Polynomials double as binary pictures: monomial (i, j) marks the cell in
-column i, row j of a grid.  A :class:`Window` fixes the visible part of
-the grid by inclusive maximum exponents, giving (m+1) x (n+1) cells.
-Whole-window code packs row j of a grid into an int whose bit i is cell (i, j).
+column i, row j of a grid, and a polynomial is stored that way, row j an
+int whose bit i is cell (i, j), offset so that no row or column is wasted.
+A :class:`Window` fixes the visible part of the grid by inclusive maximum
+exponents, giving (m+1) x (n+1) cells.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Iterator
 
 Monomial = tuple  # an (i, j) exponent pair
+MAX_BOX_BITS = 1 << 28  # bound on a polynomial's box, in bits of storage
 
 
 def diag_key(mono: Monomial) -> tuple[int, int]:
@@ -75,42 +78,68 @@ class Window:
     def height(self) -> int:
         return self.n + 1
 
-    def contains(self, mono: Monomial) -> bool:
-        i, j = mono
-        return 0 <= i <= self.m and 0 <= j <= self.n
+
+def _check_box(width: int, height: int) -> None:
+    # Refuse before allocating: a row costs at least a machine word, and a
+    # product is packed into one int the size of its box.
+    if height * max(width, 64) > MAX_BOX_BITS:
+        raise ValueError(f"polynomial too large: its {width}x{height} box is over {MAX_BOX_BITS} bits")
 
 
 class PatternPoly:
-    """A bivariate GF(2) polynomial stored as its support set.
+    """A bivariate GF(2) polynomial stored as packed rows.
 
-    Instances are immutable and hashable.  ``+`` is GF(2) addition
-    (symmetric difference of supports, so ``a + a == 0``), ``*`` is
-    polynomial multiplication with coefficients folded mod 2, and ``-``
-    is an alias of ``+``.
+    Bit i of ``rows[k]`` is the coefficient of x^(x0+i) y^(y0+k).  The form
+    is canonical: the first and last rows are nonzero, some row has bit 0
+    set, and zero is ``()`` at offset (0, 0); so ``==`` and ``hash`` compare
+    (x0, y0, rows).  ``support``, the set of monomials with coefficient 1,
+    is a frozenset view built once, on first use.
+
+    Instances are immutable and hashable.  ``+`` is GF(2) addition (XOR of
+    aligned rows, so ``a + a == 0``), ``*`` is polynomial multiplication
+    with coefficients folded mod 2, and ``-`` is an alias of ``+``.  A
+    value whose box would exceed MAX_BOX_BITS raises ValueError.
     """
 
-    __slots__ = ("support",)
+    __slots__ = ("x0", "y0", "rows", "_cols", "_support")  # _cols: the width of the box
 
-    support: frozenset
+    x0: int
+    y0: int
+    rows: tuple
 
     def __init__(self, monomials: Iterable[Monomial] = ()):
-        support = set()
-        for mono in monomials:
-            i, j = mono
-            support.add((operator.index(i), operator.index(j)))
-        object.__setattr__(self, "support", frozenset(support))
+        cells = frozenset((operator.index(i), operator.index(j)) for i, j in monomials)
+        x0 = y0 = cols = 0
+        rows = ()
+        if cells:
+            xs, ys = zip(*cells)
+            x0, y0 = min(xs), min(ys)
+            cols, height = max(xs) - x0 + 1, max(ys) - y0 + 1
+            _check_box(cols, height)
+            rows = [0] * height
+            for i, j in cells:
+                rows[j - y0] |= 1 << i - x0
+        _init(self, x0, y0, tuple(rows), cols, cells)
 
-    @classmethod
-    def _raw(cls, support: frozenset) -> "PatternPoly":
-        # internal fast path: support is already a validated frozenset
-        self = object.__new__(cls)
-        object.__setattr__(self, "support", support)
-        return self
+    @staticmethod
+    def _make(x0: int, y0: int, rows) -> "PatternPoly":
+        # the canonical form of a list or tuple of rows placed at (x0, y0)
+        lo, hi = 0, len(rows)
+        while lo < hi and not rows[lo]:
+            lo += 1
+        if lo == hi:
+            return ZERO
+        while not rows[hi - 1]:
+            hi -= 1
+        union = reduce(operator.or_, rows)
+        low = (union & -union).bit_length() - 1
+        rows = tuple([row >> low for row in rows[lo:hi]] if low else rows[lo:hi])
+        return _init(object.__new__(PatternPoly), x0 + low, y0 + lo, rows, union.bit_length() - low)
 
     @classmethod
     def from_rows(cls, rows: Iterable[int]) -> "PatternPoly":
         """The cells (i, j) with bit i set in rows[j]."""
-        return cls._raw(frozenset((i, j) for j, row in enumerate(rows) for i in set_bits(row)))
+        return cls._make(0, 0, rows if isinstance(rows, (list, tuple)) else list(rows))
 
     @classmethod
     def monomial(cls, i: int, j: int) -> "PatternPoly":
@@ -120,27 +149,58 @@ class PatternPoly:
     def __setattr__(self, name, value):
         raise AttributeError("PatternPoly is immutable")
 
+    @property
+    def support(self) -> frozenset:
+        """The monomials (i, j) with coefficient 1."""
+        if self._support is None:
+            cells = ((self.x0 + i, j) for j, row in enumerate(self.rows, self.y0) for i in set_bits(row))
+            object.__setattr__(self, "_support", frozenset(cells))
+        return self._support
+
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, PatternPoly):
             return NotImplemented
-        return PatternPoly._raw(self.support ^ other.support)
+        if not other._cols:
+            return self
+        if not self._cols:
+            return other
+        x0, y0 = min(self.x0, other.x0), min(self.y0, other.y0)
+        height = max(self.y0 + len(self.rows), other.y0 + len(other.rows)) - y0
+        _check_box(max(self.x0 + self._cols, other.x0 + other._cols) - x0, height)
+        rows = [0] * height
+        for p in (self, other):
+            shift = p.x0 - x0
+            for k, row in enumerate(p.rows, p.y0 - y0):
+                rows[k] ^= row << shift
+        return PatternPoly._make(x0, y0, rows)
 
     __sub__ = __add__
 
     def __mul__(self, other):
+        # Kronecker substitution: with rows a stride apart that fits the
+        # product's width, one operand becomes one int, the product is an XOR
+        # of its copies shifted to the set bits of the other, and its rows
+        # never overlap.  The stride is rounded up to whole bytes, so packing
+        # and unpacking go through bytes in linear time.
         if not isinstance(other, PatternPoly):
             return NotImplemented
-        acc: set = set()
-        for a, b in self.support:
-            for c, d in other.support:
-                key = (a + c, b + d)
-                if key in acc:
-                    acc.remove(key)
-                else:
-                    acc.add(key)
-        return PatternPoly._raw(frozenset(acc))
+        if not self._cols or not other._cols:
+            return ZERO
+        width = self._cols + other._cols - 1
+        height = len(self.rows) + len(other.rows) - 1
+        _check_box(width, height)
+        size = (width + 7) // 8  # bytes per packed row
+        few, many = sorted((self.rows, other.rows), key=lambda rows: sum(map(int.bit_count, rows)))
+        packed = int.from_bytes(b"".join(row.to_bytes(size, "little") for row in many), "little")
+        acc = 0
+        for k, row in enumerate(few):
+            for i in set_bits(row):
+                acc ^= packed << 8 * size * k + i
+        data = acc.to_bytes(height * size, "little")
+        rows = [int.from_bytes(data[k : k + size], "little") for k in range(0, len(data), size)]
+        return PatternPoly._make(self.x0 + other.x0, self.y0 + other.y0, rows)
 
     def __pow__(self, exponent: int):
         if exponent < 0:
@@ -156,11 +216,23 @@ class PatternPoly:
 
     def shift(self, dx: int, dy: int) -> "PatternPoly":
         """Translate the pattern: multiply by x^dx y^dy (dx, dy may be < 0)."""
-        return PatternPoly._raw(frozenset((i + dx, j + dy) for i, j in self.support))
+        if not self._cols:
+            return self
+        return _init(object.__new__(PatternPoly), self.x0 + dx, self.y0 + dy, self.rows, self._cols)
 
     def truncate(self, window: Window) -> "PatternPoly":
         """Keep only the monomials visible in the window."""
-        return PatternPoly._raw(frozenset(m for m in self.support if window.contains(m)))
+        x0, y0, rows = self.x0, self.y0, self.rows
+        first = max(-y0, 0)  # rows[k] is window row y0 + k
+        rows = rows[first : max(window.n + 1 - y0, 0)]
+        cut = max(-x0, 0)  # bit i is window column x0 + i
+        stop = min(window.m + 1 - x0, self._cols)
+        if stop <= cut or not rows:
+            return ZERO
+        if cut or stop < self._cols:
+            mask = (1 << stop) - (1 << cut)
+            rows = [row & mask for row in rows]
+        return PatternPoly._make(x0, y0 + first, rows)
 
     # -- container protocol ----------------------------------------------
 
@@ -175,26 +247,36 @@ class PatternPoly:
         return tuple(mono) in self.support
 
     def __len__(self) -> int:
-        return len(self.support)
+        return sum(map(int.bit_count, self.rows))
 
     def __bool__(self) -> bool:
-        return bool(self.support)
+        return bool(self._cols)
 
     def __eq__(self, other):
         if not isinstance(other, PatternPoly):
             return NotImplemented
-        return self.support == other.support
+        return (self.x0, self.y0, self.rows) == (other.x0, other.y0, other.rows)
 
     def __hash__(self):
-        return hash(self.support)
+        return hash((self.x0, self.y0, self.rows))
 
     def __str__(self) -> str:
-        if not self.support:
+        if not self._cols:
             return "0"
         return "+".join(term_text(m) for m in self.terms())
 
     def __repr__(self) -> str:
         return f"PatternPoly({str(self)!r})"
+
+
+def _init(p: PatternPoly, x0: int, y0: int, rows: tuple, cols: int, support=None) -> PatternPoly:
+    setattr_ = object.__setattr__
+    setattr_(p, "x0", x0)
+    setattr_(p, "y0", y0)
+    setattr_(p, "rows", rows)
+    setattr_(p, "_cols", cols)
+    setattr_(p, "_support", support)
+    return p
 
 
 ZERO = PatternPoly()

@@ -51,10 +51,9 @@ DEFAULT_CONFIG = RenderConfig()
 
 def _rows(p: PatternPoly, window: Window, config: RenderConfig) -> list[int]:
     # Window rows in display order; bit i of row j is cell (i, j), other cells are dropped.
+    visible = p.truncate(window)
     rows = [0] * window.height
-    for i, j in p.support:
-        if 0 <= i <= window.m and 0 <= j <= window.n:
-            rows[j] |= 1 << i
+    rows[visible.y0 : visible.y0 + len(visible.rows)] = [row << visible.x0 for row in visible.rows]
     return rows if config.origin == "top_left" else rows[::-1]
 
 
@@ -101,11 +100,10 @@ def render_svg(p: PatternPoly, window: Window, config: RenderConfig = DEFAULT_CO
     columns = [(_fmt(x), _fmt(w)) for x, w in zip(accumulate(widths, initial=0.0), widths)]
     y = 0.0
     for height, row in zip(heights, _rows(p, window, config)):
+        top, tall = _fmt(y), _fmt(height)
         for k in set_bits(row):
             x, w = columns[k]
-            lines.append(
-                f'<rect x="{x}" y="{_fmt(y)}" width="{w}" height="{_fmt(height)}" fill="#000"/>'
-            )
+            lines.append(f'<rect x="{x}" y="{top}" width="{w}" height="{tall}" fill="#000"/>')
         y += height
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -19,8 +19,9 @@ witnesses (:meth:`QuotientRing.annihilator`).
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 from math import lcm
+from operator import xor
 from typing import Iterator
 
 from .numtheory import carryless_square, least_divisor, order_of_two, prime_factors
@@ -71,24 +72,28 @@ class QuotientRing:
 
     def reduce(self, p: PatternPoly) -> PatternPoly:
         """Canonical residue: exponents mod (m, n), colliding terms cancel."""
-        acc: set = set()
-        for i, j in p.support:
-            key = (i % self.m, j % self.n)
-            if key in acc:
-                acc.remove(key)
-            else:
-                acc.add(key)
-        return PatternPoly._raw(frozenset(acc))
+        return self._unpack(self._pack(p))
 
     def mul(self, a: PatternPoly, b: PatternPoly) -> PatternPoly:
         """Product in the ring."""
         return self._unpack(self._mul(self._pack(a), self._pack(b)))
 
     def _pack(self, a: PatternPoly) -> int:
-        return sum(1 << j * self._stride + i for i, j in self.reduce(a).support)
+        # the residue of a: rows folded mod n, then each mod x^m - 1, after
+        # moving the column offset's residue in
+        m, n = self.m, self.n
+        u = 0
+        for k in range(min(n, len(a.rows))):
+            row = reduce(xor, a.rows[k::n]) << a.x0 % m
+            while row >> m:  # halve the width at a multiple of m
+                half = m * -(-row.bit_length() // (2 * m))
+                row = (row & (1 << half) - 1) ^ row >> half
+            u ^= row << (a.y0 + k) % n * self._stride
+        return u
 
     def _unpack(self, u: int) -> PatternPoly:
-        return PatternPoly._raw(frozenset(divmod(k, self._stride)[::-1] for k in set_bits(u)))
+        mask = (1 << self.m) - 1
+        return PatternPoly.from_rows([u >> j * self._stride & mask for j in range(self.n)])
 
     def _fold(self, u: int) -> int:
         # a plain product, rows 0..2n-2 and columns 0..2m-2, to its residue
@@ -176,13 +181,22 @@ class QuotientRing:
 
     # -- linear algebra over GF(2) ------------------------------------------
 
+    @cached_property
+    def _basis_bits(self) -> tuple:
+        # the packed bit of each basis monomial, in basis order
+        return tuple(j * self._stride + i for i, j in self.basis)
+
+    def _from_basis(self, cols) -> PatternPoly:
+        return self._unpack(sum(1 << self._basis_bits[c] for c in cols))
+
     def _mul_matrix(self, a: PatternPoly) -> list[int]:
         # rows[r] bit c == coefficient of basis[r] in a * basis[c]
-        index = {mono: t for t, mono in enumerate(self.basis)}
+        index = {bit: t for t, bit in enumerate(self._basis_bits)}
+        u = self._pack(a)
         rows = [0] * len(self.basis)
-        for col, (bi, bj) in enumerate(self.basis):
-            for mono in self.reduce(a.shift(bi, bj)).support:
-                rows[index[mono]] |= 1 << col
+        for col, bit in enumerate(self._basis_bits):
+            for k in set_bits(self._fold(u << bit)):
+                rows[index[k]] |= 1 << col
         return rows
 
     def _gauss(self, a: PatternPoly) -> tuple[list[int], list[int], int]:
@@ -211,10 +225,7 @@ class QuotientRing:
         rows, pivots, n_cols = self._gauss(a)
         if len(pivots) < n_cols:
             return None  # singular: a*b = 1 has no solution
-        support = frozenset(
-            self.basis[col] for row, col in enumerate(pivots) if rows[row] >> n_cols & 1
-        )
-        return PatternPoly._raw(support)
+        return self._from_basis(col for row, col in enumerate(pivots) if rows[row] >> n_cols & 1)
 
     def is_invertible(self, a: PatternPoly) -> bool:
         """True iff multiplication by a permutes the ring."""
@@ -235,7 +246,7 @@ class QuotientRing:
         for row, col in enumerate(pivots):
             if rows[row] >> free & 1:
                 coords.add(col)
-        return PatternPoly._raw(frozenset(self.basis[c] for c in coords))
+        return self._from_basis(coords)
 
     # -- enumeration ---------------------------------------------------------
 
@@ -244,13 +255,5 @@ class QuotientRing:
         over the antidiagonal monomial basis.  Guarded to m*n <= 24."""
         if self.m * self.n > MAX_ENUM_BITS:
             raise ValueError(f"enumeration too large: m*n must be at most {MAX_ENUM_BITS}")
-        basis = self.basis
-
-        def generate() -> Iterator[PatternPoly]:
-            for code in range(1, 1 << len(basis)):
-                support = frozenset(
-                    basis[t] for t in range(len(basis)) if code >> t & 1
-                )
-                yield PatternPoly._raw(support)
-
-        return generate()
+        size = len(self.basis)
+        return (self._from_basis(set_bits(code)) for code in range(1, 1 << size))

@@ -11,7 +11,8 @@ from __future__ import annotations
 from math import lcm
 from typing import Iterable, Iterator
 
-from .numtheory import carryless_square, least_divisor, order_of_two as _order_of_two, prime_factors
+from .numtheory import carryless_square, is_probable_prime, least_divisor, prime_factors
+from .numtheory import order_of_two as _order_of_two
 from .poly import ONE, PatternPoly, Window
 from .series import check_denominator, expand_rows
 
@@ -84,14 +85,7 @@ def period(s: BitSeq) -> int:
 
 
 def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    return p % 2 == 1 and is_probable_prime(p)
 
 
 def _divmod(a: int, b: int) -> tuple[int, int]:
@@ -189,9 +183,9 @@ def poly_reciprocal_seq(q: PatternPoly, count: int) -> BitSeq:
     if count < 1:
         raise ValueError("count must be positive")
     check_denominator(q)
-    if any(j != 0 for _, j in q.support):
+    if len(q.rows) > 1:  # check_denominator leaves y^0 as the first row
         raise ValueError("polynomial must be univariate in x")
     row = expand_rows(ONE, q, Window(count - 1, 0))[0]
     bits = format(row, f"0{count}b")[::-1]
-    packed = sum(1 << a for a, _ in q.support)
+    packed = q.rows[0]  # with bit 0, the constant term
     return BitSeq(bits, period_hint=_poly_order(packed) if packed > 1 else None)

@@ -164,6 +164,21 @@ def test_dseq_composite_is_domain_error(capsys):
     assert "prime" in err
 
 
+def test_dseq_of_a_large_prime_is_fast(capsys):
+    # trial division up to the square root of 10^18 + 3 took minutes
+    start = time.perf_counter()
+    assert run(["dseq", "--p", "1000000000000000003", "--count", "8"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == "00000000\n"
+
+
+def test_a_pattern_too_large_to_store_is_a_domain_error(capsys):
+    assert run(["expand", "--expr", "(1+x^100000000000)/(1+y)", "--grid", "1x1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "too large" in err
+
+
 def test_lfsr_of_high_degree_is_fast(capsys):
     # 1+x+x^137 has an irreducible factor of degree 101, and 2^101 - 1 has no
     # prime factor that a bounded search finds; the bits come out regardless

@@ -57,7 +57,7 @@ def test_truncate_matches_sympy(a, m, n):
 @given(supports)
 def test_views_agree_with_the_support(a):
     p = PatternPoly(a)
-    assert p.support == a
+    assert p.support == a and isinstance(p.support, frozenset)
     assert len(p) == len(a) and bool(p) == bool(a)
     assert list(p) == sorted(a, key=diag_key)
     assert all(cell in p for cell in a)

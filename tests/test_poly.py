@@ -160,3 +160,13 @@ def test_poly_hashable_and_immutable():
     assert hash(a) == hash(P("x+1"))
     with pytest.raises(AttributeError):
         a.support = frozenset()
+
+
+def test_values_too_large_to_store_are_refused():
+    with pytest.raises(ValueError):
+        ONE + PatternPoly.monomial(1 << 40, 0)
+    with pytest.raises(ValueError):
+        PatternPoly([(0, 0), (0, 1 << 30)])
+    wide, tall = ONE + X.shift(99_999, 0), ONE + Y.shift(0, 99_999)  # each fits
+    with pytest.raises(ValueError):
+        wide * tall  # a box of 10^10 cells

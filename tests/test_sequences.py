@@ -1,3 +1,4 @@
+import math
 import time
 
 import pytest
@@ -35,6 +36,26 @@ def test_dseq_rejects_non_primes():
             dseq(bad, 4)
     with pytest.raises(ValueError):
         dseq(19, 0)
+
+
+def test_dseq_refuses_pseudoprimes():
+    # a Carmichael number, a Carmichael number that is a strong pseudoprime to
+    # base 2, and the least strong pseudoprime to bases 2, 3, 5 and 7
+    for bad in (561, 41041, 3215031751):
+        with pytest.raises(ValueError):
+            dseq(bad, 4)
+
+
+def test_dseq_accepts_exactly_the_odd_primes_below_5000():
+    def is_odd_prime(n):
+        return n > 2 and n % 2 == 1 and all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+
+    for n in range(-3, 5000):
+        if is_odd_prime(n):
+            assert len(dseq(n, 2)) == 2
+        else:
+            with pytest.raises(ValueError):
+                dseq(n, 2)
 
 
 def test_dseq_half_period_complement():
