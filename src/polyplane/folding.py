@@ -9,27 +9,33 @@ right, top to bottom; col_major top to bottom, left to right.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Iterable
 
-from .sequences import BitSeq
+from .sequences import BitSeq, bit_text, bit_tuple
 
 SCHEMES = ("diagonal", "row_major", "col_major")
 
 
 class BitGrid:
-    """An immutable rows x cols array of bits."""
+    """An immutable rows x cols array of bits.
 
-    __slots__ = ("cells",)
+    Each row is stored as one '0'/'1' str; ``cells`` is a tuple-of-tuples
+    view of ints, built once, on first use.
+    """
+
+    __slots__ = ("_lines", "_cells")
 
     def __init__(self, rows: Iterable[Iterable]):
-        cells = tuple(tuple(int(b) for b in row) for row in rows)
-        if not cells or not cells[0]:
+        lines = [row if isinstance(row, str) and not row.strip("01") else tuple(int(b) for b in row)
+                 for row in rows]
+        if not lines or not lines[0]:
             raise ValueError("grid must have at least one row and one column")
-        if any(len(row) != len(cells[0]) for row in cells):
+        if any(len(line) != len(lines[0]) for line in lines):
             raise ValueError("grid rows must all have the same length")
-        if any(b not in (0, 1) for row in cells for b in row):
-            raise ValueError("cells must be 0 or 1")
-        object.__setattr__(self, "cells", cells)
+        lines = tuple(line if isinstance(line, str) else bit_text(line, "cells") for line in lines)
+        object.__setattr__(self, "_lines", lines)
+        object.__setattr__(self, "_cells", None)
 
     @classmethod
     def from_lines(cls, text: str) -> "BitGrid":
@@ -38,13 +44,23 @@ class BitGrid:
     def __setattr__(self, name, value):
         raise AttributeError("BitGrid is immutable")
 
+    def __reduce__(self):
+        return BitGrid, (self._lines,)
+
+    @property
+    def cells(self) -> tuple:
+        """The rows as tuples of ints 0 and 1."""
+        if self._cells is None:
+            object.__setattr__(self, "_cells", tuple(map(bit_tuple, self._lines)))
+        return self._cells
+
     @property
     def rows(self) -> int:
-        return len(self.cells)
+        return len(self._lines)
 
     @property
     def cols(self) -> int:
-        return len(self.cells[0])
+        return len(self._lines[0])
 
     def __getitem__(self, r):
         return self.cells[r]
@@ -52,30 +68,32 @@ class BitGrid:
     def __eq__(self, other):
         if not isinstance(other, BitGrid):
             return NotImplemented
-        return self.cells == other.cells
+        return self._lines == other._lines
 
     def __hash__(self):
-        return hash(self.cells)
+        return hash(self._lines)
 
     def __str__(self) -> str:
-        return "\n".join("".join(str(b) for b in row) for row in self.cells)
+        return "\n".join(self._lines)
 
     def __repr__(self) -> str:
-        return f"BitGrid({[''.join(str(b) for b in row) for row in self.cells]})"
+        return f"BitGrid({list(self._lines)})"
 
 
-def _positions(rows: int, cols: int, scheme: str) -> list[tuple[int, int]]:
+def _check_scheme(rows: int, cols: int, scheme: str) -> None:
     if scheme == "diagonal":
         if math.gcd(rows, cols) != 1:
             raise ValueError(
                 f"rows and cols must be coprime for the diagonal scheme (gcd={math.gcd(rows, cols)})"
             )
-        return [(t % rows, t % cols) for t in range(rows * cols)]
-    if scheme == "row_major":
-        return [(t // cols, t % cols) for t in range(rows * cols)]
-    if scheme == "col_major":
-        return [(t % rows, t // rows) for t in range(rows * cols)]
-    raise ValueError(f"unknown scheme {scheme!r}")
+    elif scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def _rotate(line: str, r: int) -> str:
+    # the line rotated left by r places
+    r %= len(line)
+    return line[r:] + line[:r]
 
 
 def fold(s, rows: int, cols: int, scheme: str) -> BitGrid:
@@ -84,15 +102,29 @@ def fold(s, rows: int, cols: int, scheme: str) -> BitGrid:
         s = BitSeq(s)
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be positive")
-    positions = _positions(rows, cols, scheme)  # validates scheme and coprimality first
+    _check_scheme(rows, cols, scheme)
     if len(s) != rows * cols:
         raise ValueError(f"sequence length {len(s)} != rows*cols = {rows * cols}")
-    cells = [[0] * cols for _ in range(rows)]
-    for t, (r, c) in enumerate(positions):
-        cells[r][c] = s[t]
-    return BitGrid(cells)
+    text = str(s)
+    if scheme == "row_major":
+        return BitGrid([text[r * cols : (r + 1) * cols] for r in range(rows)])
+    lines = [text[r::rows] for r in range(rows)]  # the terms t = r mod rows, in order
+    if scheme == "diagonal":
+        # term r + rows*k goes to column r + rows*k mod cols: put term k of the
+        # row at column rows*k mod cols, then rotate right by r
+        inverse = pow(rows, -1, cols)
+        place = itemgetter(*[c * inverse % cols for c in range(cols)])
+        lines = [_rotate("".join(place(terms)), -r) for r, terms in enumerate(lines)]
+    return BitGrid(lines)
 
 
 def unfold(g: BitGrid, scheme: str) -> BitSeq:
     """Read a grid back into the sequence that fold() would have consumed."""
-    return BitSeq(g.cells[r][c] for r, c in _positions(g.rows, g.cols, scheme))
+    _check_scheme(g.rows, g.cols, scheme)
+    lines = g._lines
+    if scheme == "row_major":
+        return BitSeq("".join(lines))
+    if scheme == "diagonal":
+        take = itemgetter(*[g.rows * k % g.cols for k in range(g.cols)])
+        lines = ["".join(take(_rotate(line, r))) for r, line in enumerate(lines)]
+    return BitSeq("".join(map("".join, zip(*lines))))

@@ -19,9 +19,10 @@ explicit length is given.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from math import isqrt
 
-from .poly import Monomial, PatternPoly
+from .poly import MAX_BOX_BITS, Monomial, PatternPoly
 from .sequences import BitSeq
 
 ORDERINGS = ("diagonal", "boustrophedon", "meander")
@@ -69,24 +70,67 @@ def index_of(ordering: str, mono: Monomial) -> int:
     return base + i
 
 
+def _walk_parts(ordering: str, size: int) -> int:
+    # the antidiagonals (shells, for meander) that hold the first size monomials
+    if not size:
+        return 0
+    last = monomial_at(ordering, size - 1)
+    return (max(last) if ordering == "meander" else sum(last)) + 1
+
+
 def encode(p: PatternPoly, ordering: str, length: int | None = None) -> BitSeq:
-    """Bit string of a polynomial: bit k set iff the k-th monomial is present."""
+    """Bit string of a polynomial: bit k set iff the k-th monomial is present.
+
+    A string longer than MAX_BOX_BITS is refused with ValueError before any
+    bit of it is built.
+    """
     _check_ordering(ordering)
-    for i, j in p.support:
-        if i < 0 or j < 0:
-            raise ValueError("polynomials with negative exponents cannot be encoded")
-    indices = {index_of(ordering, mono) for mono in p.support}
-    needed = max(indices) + 1 if indices else 0
+    if p.x0 < 0 or p.y0 < 0:
+        raise ValueError("polynomials with negative exponents cannot be encoded")
+    # in each ordering the last monomial of a row is at one of the row's ends
+    ends = (index_of(ordering, (p.x0 + i, j)) for j, row in enumerate(p.rows, p.y0) if row
+            for i in ((row & -row).bit_length() - 1, row.bit_length() - 1))
+    needed = max(ends, default=-1) + 1
     if length is None:
         length = needed
     elif length < needed:
         raise ValueError(f"length {length} too small: the support needs {needed} bits")
-    return BitSeq(1 if k in indices else 0 for k in range(length))
+    if length > MAX_BOX_BITS:
+        raise ValueError(f"encoding too long: {length} bits is over {MAX_BOX_BITS}")
+    count = _walk_parts(ordering, needed)
+    rows = [0] * p.y0 + list(p.rows) + [0] * (count - p.y0 - len(p.rows))
+    lines = [format(row << p.x0, f"0{count}b")[::-1] for row in rows]  # column i is character i
+    if ordering == "meander":
+        # shell s walked the odd way round: column s upward, then row s leftward
+        columns = ["".join(column) for column in zip(*lines)]
+        walk = [columns[s][: s + 1] + lines[s][:s][::-1] for s in range(count)]
+    else:
+        # with row j moved j places right, antidiagonal d is column d, rows 0..d
+        skewed = zip(*("0" * j + line for j, line in enumerate(lines)))
+        walk = ["".join(cells[: d + 1]) for d, cells in enumerate(skewed)]
+    if ordering != "diagonal":
+        walk[::2] = [part[::-1] for part in walk[::2]]
+    return BitSeq("".join(walk)[:length].ljust(length, "0"))
 
 
 def decode(bits, ordering: str) -> PatternPoly:
     """Polynomial whose support is the set bits of the string."""
     _check_ordering(ordering)
-    if not isinstance(bits, BitSeq):
-        bits = BitSeq(bits)
-    return PatternPoly(monomial_at(ordering, k) for k, b in enumerate(bits) if b)
+    text = str(bits if isinstance(bits, BitSeq) else BitSeq(bits))
+    count = _walk_parts(ordering, len(text))
+    if ordering == "meander":  # shell s is the 2s+1 bits from s^2
+        text = text.ljust(count * count, "0")
+        walk = [text[s * s : (s + 1) * (s + 1)] for s in range(count)]
+    else:  # antidiagonal d is the d+1 bits from d(d+1)/2
+        text = text.ljust(count * (count + 1) // 2, "0")
+        walk = [text[d * (d + 1) // 2 : (d + 1) * (d + 2) // 2] for d in range(count)]
+    if ordering != "diagonal":
+        walk[::2] = [part[::-1] for part in walk[::2]]
+    # Row j, highest column first: character j of each antidiagonal from the
+    # last down to d = j (of each shell's column part, for meander), then for
+    # meander row j of shell j, which runs from column j-1 down to 0.
+    parts = [part[: s + 1] for s, part in enumerate(walk)] if ordering == "meander" else walk
+    lines = ["".join(cells) for cells in zip_longest(*parts[::-1], fillvalue="")]
+    if ordering == "meander":
+        lines = [line + walk[j][j + 1 :] for j, line in enumerate(lines)]
+    return PatternPoly.from_rows([int(line, 2) for line in lines])

@@ -149,6 +149,9 @@ class PatternPoly:
     def __setattr__(self, name, value):
         raise AttributeError("PatternPoly is immutable")
 
+    def __reduce__(self):
+        return PatternPoly._make, (self.x0, self.y0, self.rows)
+
     @property
     def support(self) -> frozenset:
         """The monomials (i, j) with coefficient 1."""

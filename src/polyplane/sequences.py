@@ -17,30 +17,58 @@ from .poly import ONE, PatternPoly, Window
 from .series import check_denominator, expand_rows
 
 MAX_HINT_DEGREE = 1024  # deg q bound for the period hint of poly_reciprocal_seq
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+def bit_tuple(text: str) -> tuple:
+    """The ints of a '0'/'1' str."""
+    return tuple(text.encode().translate(_BIT_VALUES))
+
+
+def bit_text(values: tuple, what: str) -> str:
+    """The '0'/'1' str of a tuple of ints; ValueError unless each is 0 or 1."""
+    if not set(values) <= {0, 1}:
+        raise ValueError(f"{what} must be 0 or 1")
+    return "".join(map(str, values))
 
 
 class BitSeq:
-    """An immutable bit string with an optional verified period hint."""
+    """An immutable bit string with an optional verified period hint.
 
-    __slots__ = ("bits", "period_hint")
+    The bits are stored as one '0'/'1' str; ``bits`` is a tuple-of-ints view
+    built once, on first use.
+    """
+
+    __slots__ = ("_text", "period_hint", "_bits")
 
     def __init__(self, bits: Iterable, period_hint: int | None = None):
-        values = tuple(int(b) for b in bits)
-        if any(b not in (0, 1) for b in values):
-            raise ValueError("bits must be 0 or 1")
+        text = bits
+        if not isinstance(text, str) or text.strip("01"):
+            text = bit_text(tuple(int(b) for b in bits), "bits")
         if period_hint is not None:
             if period_hint < 1:
                 raise ValueError("period hint must be positive")
-            if any(values[k] != values[k + period_hint] for k in range(len(values) - period_hint)):
+            if text[period_hint:] != text[: max(len(text) - period_hint, 0)]:
                 raise ValueError(f"bits do not repeat with period {period_hint}")
-        object.__setattr__(self, "bits", values)
+        object.__setattr__(self, "_text", text)
         object.__setattr__(self, "period_hint", period_hint)
+        object.__setattr__(self, "_bits", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BitSeq is immutable")
 
+    def __reduce__(self):
+        return BitSeq, (self._text, self.period_hint)
+
+    @property
+    def bits(self) -> tuple:
+        """The bits as a tuple of ints 0 and 1."""
+        if self._bits is None:
+            object.__setattr__(self, "_bits", bit_tuple(self._text))
+        return self._bits
+
     def __len__(self) -> int:
-        return len(self.bits)
+        return len(self._text)
 
     def __getitem__(self, k):
         return self.bits[k]
@@ -51,18 +79,18 @@ class BitSeq:
     def __eq__(self, other):
         if not isinstance(other, BitSeq):
             return NotImplemented
-        return self.bits == other.bits  # the hint is metadata, not part of the value
+        return self._text == other._text  # the hint is metadata, not part of the value
 
     def __hash__(self):
-        return hash(self.bits)
+        return hash(self._text)
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return self._text
 
     def __repr__(self) -> str:
         if self.period_hint is None:
-            return f"BitSeq({str(self)!r})"
-        return f"BitSeq({str(self)!r}, period_hint={self.period_hint})"
+            return f"BitSeq({self._text!r})"
+        return f"BitSeq({self._text!r}, period_hint={self.period_hint})"
 
 
 def period(s: BitSeq) -> int:
@@ -152,18 +180,16 @@ def _poly_order(q: int) -> int | None:
 def dseq(p: int, count: int) -> BitSeq:
     """Binary expansion of 1/p: bit k is (2^(k+1) mod p) mod 2.
 
-    p must be an odd prime.  The period hint is the multiplicative order
+    p must be an odd prime.  The bits come from one long division,
+    floor(2^count / p).  The period hint is the multiplicative order
     of 2 mod p, which is the true period of the infinite expansion.
     """
     if not _is_odd_prime(p):
         raise ValueError(f"{p} is not an odd prime")
     if count < 1:
         raise ValueError("count must be positive")
-    bits = []
-    power = 2 % p
-    for _ in range(count):
-        bits.append(power % 2)
-        power = power * 2 % p
+    # bit k is binary digit k+1 of 1/p: 2^(k+1) = p*q + r with p odd gives q = r mod 2
+    bits = format((1 << count) // p, f"0{count}b")
     return BitSeq(bits, period_hint=_order_of_two(p))
 
 

@@ -50,17 +50,17 @@ class RationalTerm:
 def expand_rows(num: PatternPoly, den: PatternPoly, window: Window) -> list[int]:
     """Window-exact rows of num * (1/den) for admissible den: bit i of row j is cell (i, j)."""
     out = [0] * window.height
-    if not num:
-        return out
-    xs = [i for i, _ in num.support]
-    ys = [j for _, j in num.support]
-    depth = window.n - min(ys)  # deepest series row any numerator shift can use
-    if depth < 0:
-        return out
-
     row_taps = [a for a, b in den.support if b == 0 and a > 0]
     lower_taps = [(a, b) for a, b in den.support if b > 0]
     reach = max((abs(a) for a, _ in lower_taps), default=0)
+
+    # Series row j has no cell left of column -j*reach, so a numerator term
+    # x^u y^v reaches the window only if v <= n and u - (n - v)*reach <= m.
+    shifts = [(u, v) for u, v in num.support if v <= window.n and u - (window.n - v) * reach <= window.m]
+    if not shifts:
+        return out
+    xs = [u for u, _ in shifts]
+    depth = window.n - min(v for _, v in shifts)  # deepest series row any numerator shift can use
 
     # Needed series columns are the window columns shifted by the numerator;
     # each row step may consult `reach` extra columns on either side.
@@ -91,7 +91,7 @@ def expand_rows(num: PatternPoly, den: PatternPoly, window: Window) -> list[int]
 
     # Series column i - u is bit i - u - lo; lo <= -u, so the shift is rightward.
     keep = (1 << window.width) - 1
-    for u, v in num.support:
+    for u, v in shifts:
         for j in range(max(v, 0), window.n + 1):
             out[j] ^= rows[j - v] >> -(u + lo) & keep
     return out

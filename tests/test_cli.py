@@ -275,3 +275,27 @@ def test_repeated_runs_in_one_process_are_identical(capsysbinary):
 def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
     assert "expand" in capsys.readouterr().out
+
+
+def test_encode_refuses_a_walk_too_long_to_build(capsys):
+    start = time.perf_counter()  # x^100000 is index 5*10^9 of the diagonal walk
+    assert run(["encode", "--poly", "x^100000", "--ordering", "diagonal"]) == 1
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: encoding too long")
+    assert run(["encode", "--poly", "1", "--length", str(2**28 + 1)]) == 1
+    assert capsys.readouterr().err.startswith("error: encoding too long")
+    assert run(["encode", "--poly", "x^100000", "--length", "5"]) == 1  # too small comes first
+    assert capsys.readouterr().err == "error: length 5 too small: the support needs 5000050001 bits\n"
+
+
+def test_expand_drops_numerator_terms_outside_the_window(capsys):
+    start = time.perf_counter()
+    assert run(["expand", "--expr", "x^100000000000", "--grid", "1x1"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("0\n", "")
+    for expr, grid, text in (("x^4/(1+x^-1*y)", "1x3", "x*y^3\n"), ("x^5/(1+x^-1*y)", "1x3", "0\n"),
+                             ("y^3/(1+x)", "2x3", "y^3+x*y^3+x^2*y^3\n"), ("y^4/(1+x)", "2x3", "0\n"),
+                             ("x^2*y^-1/(1+x^-1*y)", "2x2", "x+y\n"), ("x^2*y/(1+x+y)", "2x1", "x^2*y\n")):
+        assert run(["expand", "--expr", expr, "--grid", grid]) == 0
+        assert capsys.readouterr() == (text, "")

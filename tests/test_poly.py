@@ -170,3 +170,35 @@ def test_values_too_large_to_store_are_refused():
     wide, tall = ONE + X.shift(99_999, 0), ONE + Y.shift(0, 99_999)  # each fits
     with pytest.raises(ValueError):
         wide * tall  # a box of 10^10 cells
+
+
+def test_public_values_survive_copy_and_pickle():
+    import copy
+    import pickle
+
+    from polyplane.dsl import parse
+    from polyplane.folding import BitGrid
+    from polyplane.render import Perspective, RenderConfig
+    from polyplane.ring import QuotientRing
+    from polyplane.sequences import BitSeq
+    from polyplane.series import RationalTerm
+
+    expr = parse("x^-1*y/(1+x+y) + 1+x")
+    values = [
+        ZERO, ONE, P("x^-2*y^3+x*y^-1+x^5"),
+        BitSeq(""), BitSeq("0110", period_hint=3),
+        BitGrid(["011", "100"]),
+        Window(4, 3, "wrap"),
+        RationalTerm(P("x^-1*y"), P("1+x+y")),
+        expr, expr.terms[0],
+        Perspective(0.5, 0.75), RenderConfig(glyph_on="@", perspective=Perspective(0.5, 1.0)),
+        QuotientRing(3, 5),
+    ]
+    for value in values:
+        for twin in (copy.copy(value), copy.deepcopy(value),
+                     *(pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1))):
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value)
+    hinted = pickle.loads(pickle.dumps(BitSeq("0110", period_hint=3)))
+    assert (hinted.period_hint, hinted.bits) == (3, (0, 1, 1, 0))
+    assert pickle.loads(pickle.dumps(QuotientRing(3, 5))).mul(P("x^2"), P("x")) == ONE
