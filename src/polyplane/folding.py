@@ -12,7 +12,7 @@ import math
 from operator import itemgetter
 from typing import Iterable
 
-from .sequences import BitSeq, bit_text, bit_tuple
+from .sequences import BitSeq, bit_text, bit_tuple, is_bit_text
 
 SCHEMES = ("diagonal", "row_major", "col_major")
 
@@ -27,8 +27,7 @@ class BitGrid:
     __slots__ = ("_lines", "_cells")
 
     def __init__(self, rows: Iterable[Iterable]):
-        lines = [row if isinstance(row, str) and not row.strip("01") else tuple(int(b) for b in row)
-                 for row in rows]
+        lines = [row if is_bit_text(row) else tuple(int(b) for b in row) for row in rows]
         if not lines or not lines[0]:
             raise ValueError("grid must have at least one row and one column")
         if any(len(line) != len(lines[0]) for line in lines):

@@ -19,7 +19,6 @@ explicit length is given.
 
 from __future__ import annotations
 
-from itertools import zip_longest
 from math import isqrt
 
 from .poly import MAX_BOX_BITS, Monomial, PatternPoly
@@ -70,6 +69,15 @@ def index_of(ordering: str, mono: Monomial) -> int:
     return base + i
 
 
+# encode and decode lay the cells out row by row in one string `width` wide,
+# cell (i, j) being character j*width + i, with width one more than the
+# number of parts so that no stride is 0.  Antidiagonal d, cells (d, 0) to
+# (0, d), is then the slice [d : d*width + 1 : width - 1]; shell s walked the
+# odd way round is column s upward, [s : s*width + s + 1 : width], then row
+# s leftward, [s*width : s*width + s] reversed.  Boustrophedon and meander
+# run their even parts the other way round.
+
+
 def _walk_parts(ordering: str, size: int) -> int:
     # the antidiagonals (shells, for meander) that hold the first size monomials
     if not size:
@@ -98,16 +106,14 @@ def encode(p: PatternPoly, ordering: str, length: int | None = None) -> BitSeq:
     if length > MAX_BOX_BITS:
         raise ValueError(f"encoding too long: {length} bits is over {MAX_BOX_BITS}")
     count = _walk_parts(ordering, needed)
+    width = count + 1
     rows = [0] * p.y0 + list(p.rows) + [0] * (count - p.y0 - len(p.rows))
-    lines = [format(row << p.x0, f"0{count}b")[::-1] for row in rows]  # column i is character i
+    grid = "".join(format(row << p.x0, f"0{width}b")[::-1] for row in rows)
     if ordering == "meander":
-        # shell s walked the odd way round: column s upward, then row s leftward
-        columns = ["".join(column) for column in zip(*lines)]
-        walk = [columns[s][: s + 1] + lines[s][:s][::-1] for s in range(count)]
+        walk = [grid[s : s * width + s + 1 : width] + grid[s * width : s * width + s][::-1]
+                for s in range(count)]
     else:
-        # with row j moved j places right, antidiagonal d is column d, rows 0..d
-        skewed = zip(*("0" * j + line for j, line in enumerate(lines)))
-        walk = ["".join(cells[: d + 1]) for d, cells in enumerate(skewed)]
+        walk = [grid[d : d * width + 1 : width - 1] for d in range(count)]
     if ordering != "diagonal":
         walk[::2] = [part[::-1] for part in walk[::2]]
     return BitSeq("".join(walk)[:length].ljust(length, "0"))
@@ -116,21 +122,22 @@ def encode(p: PatternPoly, ordering: str, length: int | None = None) -> BitSeq:
 def decode(bits, ordering: str) -> PatternPoly:
     """Polynomial whose support is the set bits of the string."""
     _check_ordering(ordering)
-    text = str(bits if isinstance(bits, BitSeq) else BitSeq(bits))
-    count = _walk_parts(ordering, len(text))
+    data = str(bits if isinstance(bits, BitSeq) else BitSeq(bits)).encode()
+    count = _walk_parts(ordering, len(data))
     if ordering == "meander":  # shell s is the 2s+1 bits from s^2
-        text = text.ljust(count * count, "0")
-        walk = [text[s * s : (s + 1) * (s + 1)] for s in range(count)]
+        data = data.ljust(count * count, b"0")
+        walk = [data[s * s : (s + 1) * (s + 1)] for s in range(count)]
     else:  # antidiagonal d is the d+1 bits from d(d+1)/2
-        text = text.ljust(count * (count + 1) // 2, "0")
-        walk = [text[d * (d + 1) // 2 : (d + 1) * (d + 2) // 2] for d in range(count)]
+        data = data.ljust(count * (count + 1) // 2, b"0")
+        walk = [data[d * (d + 1) // 2 : (d + 1) * (d + 2) // 2] for d in range(count)]
     if ordering != "diagonal":
         walk[::2] = [part[::-1] for part in walk[::2]]
-    # Row j, highest column first: character j of each antidiagonal from the
-    # last down to d = j (of each shell's column part, for meander), then for
-    # meander row j of shell j, which runs from column j-1 down to 0.
-    parts = [part[: s + 1] for s, part in enumerate(walk)] if ordering == "meander" else walk
-    lines = ["".join(cells) for cells in zip_longest(*parts[::-1], fillvalue="")]
-    if ordering == "meander":
-        lines = [line + walk[j][j + 1 :] for j, line in enumerate(lines)]
-    return PatternPoly.from_rows([int(line, 2) for line in lines])
+    width = count + 1
+    grid = bytearray(b"0" * (width * count))
+    for s, part in enumerate(walk):
+        if ordering == "meander":
+            grid[s : s * width + s + 1 : width] = part[: s + 1]
+            grid[s * width : s * width + s] = part[:s:-1]
+        else:
+            grid[s : s * width + 1 : width - 1] = part
+    return PatternPoly.from_rows([int(grid[j * width : (j + 1) * width][::-1], 2) for j in range(count)])

@@ -20,6 +20,11 @@ MAX_HINT_DEGREE = 1024  # deg q bound for the period hint of poly_reciprocal_seq
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
+def is_bit_text(value) -> bool:
+    """Whether value is a str of the characters '0' and '1' only."""
+    return isinstance(value, str) and value.isascii() and not value.encode().translate(None, b"01")
+
+
 def bit_tuple(text: str) -> tuple:
     """The ints of a '0'/'1' str."""
     return tuple(text.encode().translate(_BIT_VALUES))
@@ -42,9 +47,7 @@ class BitSeq:
     __slots__ = ("_text", "period_hint", "_bits")
 
     def __init__(self, bits: Iterable, period_hint: int | None = None):
-        text = bits
-        if not isinstance(text, str) or text.strip("01"):
-            text = bit_text(tuple(int(b) for b in bits), "bits")
+        text = bits if is_bit_text(bits) else bit_text(tuple(int(b) for b in bits), "bits")
         if period_hint is not None:
             if period_hint < 1:
                 raise ValueError("period hint must be positive")
