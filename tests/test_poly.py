@@ -176,7 +176,7 @@ def test_public_values_survive_copy_and_pickle():
     import copy
     import pickle
 
-    from polyplane.dsl import parse
+    from polyplane.dsl import Token, parse
     from polyplane.folding import BitGrid
     from polyplane.render import Perspective, RenderConfig
     from polyplane.ring import QuotientRing
@@ -193,6 +193,7 @@ def test_public_values_survive_copy_and_pickle():
         expr, expr.terms[0],
         Perspective(0.5, 0.75), RenderConfig(glyph_on="@", perspective=Perspective(0.5, 1.0)),
         QuotientRing(3, 5),
+        Token("int", -2, 3), Window(4, 3), Window(0, 0, "window"), Perspective(), RenderConfig(),
     ]
     for value in values:
         for twin in (copy.copy(value), copy.deepcopy(value),
