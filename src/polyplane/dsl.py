@@ -22,9 +22,7 @@ unit denominators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .poly import ONE, PatternPoly, Window
+from .poly import ONE, Frozen, PatternPoly, Window
 from .ring import QuotientRing
 from .series import RationalTerm, eval_sum
 
@@ -38,11 +36,15 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "int" | "var" | "op" | "lparen" | "rparen"
-    value: object
-    pos: int
+class Token(Frozen):
+    """One lexeme: its kind ("int", "var", "op", "lparen" or "rparen"), value and offset."""
+
+    __slots__ = __match_args__ = ("kind", "value", "pos")
+
+    def __init__(self, kind: str, value: object, pos: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "pos", pos)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -86,21 +88,33 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-@dataclass(frozen=True)
-class Term:
-    """One summand: a polynomial, optionally divided by another."""
+class Term(Frozen):
+    """One summand: a polynomial, optionally divided by another.
 
-    numerator: PatternPoly
-    denominator: PatternPoly | None = None
-    pos: int = field(default=0, compare=False)
-    div_pos: int | None = field(default=None, compare=False)
+    ``pos`` and ``div_pos`` are the offsets of the term and of its '/' in
+    the source text; ``==`` and ``hash`` ignore them.
+    """
+
+    __slots__ = __match_args__ = ("numerator", "denominator", "pos", "div_pos")
+
+    def __init__(self, numerator: PatternPoly, denominator: PatternPoly | None = None,
+                 pos: int = 0, div_pos: int | None = None):
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "div_pos", div_pos)
+
+    def _key(self) -> tuple:
+        return (self.numerator, self.denominator)
 
 
-@dataclass(frozen=True)
-class PatternExpr:
+class PatternExpr(Frozen):
     """A parsed sum of rational terms."""
 
-    terms: tuple[Term, ...]
+    __slots__ = __match_args__ = ("terms",)
+
+    def __init__(self, terms: tuple[Term, ...]):
+        object.__setattr__(self, "terms", terms)
 
     def to_text(self) -> str:
         return " + ".join(_term_to_text(t) for t in self.terms)

@@ -9,15 +9,16 @@ right, top to bottom; col_major top to bottom, left to right.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from operator import itemgetter
-from typing import Iterable
 
+from .poly import Frozen
 from .sequences import BitSeq, bit_text, bit_tuple, is_bit_text
 
 SCHEMES = ("diagonal", "row_major", "col_major")
 
 
-class BitGrid:
+class BitGrid(Frozen):
     """An immutable rows x cols array of bits.
 
     Each row is stored as one '0'/'1' str; ``cells`` is a tuple-of-tuples
@@ -39,9 +40,6 @@ class BitGrid:
     @classmethod
     def from_lines(cls, text: str) -> "BitGrid":
         return cls(line for line in text.splitlines() if line)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BitGrid is immutable")
 
     def __reduce__(self):
         return BitGrid, (self._lines,)

@@ -16,9 +16,9 @@ to that part (see :func:`least_divisor`).
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from itertools import compress, count
 from math import gcd, isqrt
-from typing import Callable, Iterable
 
 
 def _primes_below(limit: int) -> tuple[int, ...]:

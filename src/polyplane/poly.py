@@ -16,9 +16,8 @@ exponents, giving (m+1) x (n+1) cells.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from functools import reduce
-from typing import Iterable, Iterator
 
 Monomial = tuple  # an (i, j) exponent pair
 MAX_BOX_BITS = 1 << 28  # bound on a polynomial's box, in bits of storage
@@ -51,8 +50,45 @@ def term_text(mono: Monomial) -> str:
     return "*".join(parts)
 
 
-@dataclass(frozen=True)
-class Window:
+class Frozen:
+    """Base of the immutable value classes: assigning any attribute raises AttributeError.
+
+    A subclass that names its constructor arguments in ``__match_args__``,
+    each stored in the slot of the same name, also gets ``==`` and ``hash``
+    over ``_key()`` (all fields unless it says otherwise) between instances
+    of one class, the dataclass-style repr ``Name(field=value, ...)``, and
+    copy and pickle by calling the constructor again.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    _key = _fields
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Window(Frozen):
     """Visible grid: exponents 0..m horizontally, 0..n vertically, inclusive.
 
     ``mode`` selects how expressions are evaluated on the grid: "window"
@@ -60,15 +96,16 @@ class Window:
     the (m+1) x (n+1) torus instead.
     """
 
-    m: int
-    n: int
-    mode: str = "window"
+    __slots__ = __match_args__ = ("m", "n", "mode")
 
-    def __post_init__(self) -> None:
-        if self.m < 0 or self.n < 0:
+    def __init__(self, m: int, n: int, mode: str = "window"):
+        if m < 0 or n < 0:
             raise ValueError("window bounds must be nonnegative")
-        if self.mode not in ("window", "wrap"):
-            raise ValueError(f"unknown window mode {self.mode!r}")
+        if mode not in ("window", "wrap"):
+            raise ValueError(f"unknown window mode {mode!r}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mode", mode)
 
     @property
     def width(self) -> int:
@@ -86,7 +123,7 @@ def _check_box(width: int, height: int) -> None:
         raise ValueError(f"polynomial too large: its {width}x{height} box is over {MAX_BOX_BITS} bits")
 
 
-class PatternPoly:
+class PatternPoly(Frozen):
     """A bivariate GF(2) polynomial stored as packed rows.
 
     Bit i of ``rows[k]`` is the coefficient of x^(x0+i) y^(y0+k).  The form
@@ -145,9 +182,6 @@ class PatternPoly:
     def monomial(cls, i: int, j: int) -> "PatternPoly":
         """The single-term polynomial x^i y^j."""
         return cls(((i, j),))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PatternPoly is immutable")
 
     def __reduce__(self):
         return PatternPoly._make, (self.x0, self.y0, self.rows)

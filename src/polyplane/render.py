@@ -9,41 +9,43 @@ config shrinks cell widths and heights geometrically along the axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
-from .poly import PatternPoly, Window, set_bits
+from .poly import Frozen, PatternPoly, Window, set_bits
 
 
-@dataclass(frozen=True)
-class Perspective:
+class Perspective(Frozen):
     """Per-axis geometric decay of cell size: column k is rx^k wide."""
 
-    rx: float = 1.0
-    ry: float = 1.0
+    __slots__ = __match_args__ = ("rx", "ry")
 
-    def __post_init__(self) -> None:
-        if not (0 < self.rx <= 1 and 0 < self.ry <= 1):
+    def __init__(self, rx: float = 1.0, ry: float = 1.0):
+        if not (0 < rx <= 1 and 0 < ry <= 1):
             raise ValueError("decay ratios must lie in (0, 1]")
+        object.__setattr__(self, "rx", rx)
+        object.__setattr__(self, "ry", ry)
 
 
-@dataclass(frozen=True)
-class RenderConfig:
-    glyph_on: str = "#"
-    glyph_off: str = "."
-    origin: str = "top_left"  # or "bottom_left"
-    cell: float = 16.0  # base cell size in SVG user units
-    perspective: Perspective | None = None
+class RenderConfig(Frozen):
+    """Glyphs of the ASCII grid, row order, and SVG cell size (in user units) and perspective."""
 
-    def __post_init__(self) -> None:
-        if len(self.glyph_on) != 1 or len(self.glyph_off) != 1:
+    __slots__ = __match_args__ = ("glyph_on", "glyph_off", "origin", "cell", "perspective")
+
+    def __init__(self, glyph_on: str = "#", glyph_off: str = ".", origin: str = "top_left",
+                 cell: float = 16.0, perspective: Perspective | None = None):
+        if len(glyph_on) != 1 or len(glyph_off) != 1:
             raise ValueError("glyphs must be single characters")
-        if self.glyph_on == self.glyph_off:
+        if glyph_on == glyph_off:
             raise ValueError("on and off glyphs must differ")
-        if self.origin not in ("top_left", "bottom_left"):
-            raise ValueError(f"unknown origin {self.origin!r}")
-        if self.cell <= 0:
+        if origin not in ("top_left", "bottom_left"):  # row 0 at the top or at the bottom
+            raise ValueError(f"unknown origin {origin!r}")
+        if cell <= 0:
             raise ValueError("cell size must be positive")
+        object.__setattr__(self, "glyph_on", glyph_on)
+        object.__setattr__(self, "glyph_off", glyph_off)
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "cell", cell)
+        object.__setattr__(self, "perspective", perspective)
 
 
 DEFAULT_CONFIG = RenderConfig()

@@ -19,10 +19,10 @@ witnesses (:meth:`QuotientRing.annihilator`).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import cached_property, reduce
 from math import lcm
 from operator import xor
-from typing import Iterator
 
 from .numtheory import carryless_square, least_divisor, order_of_two, prime_factors
 from .poly import PatternPoly, diag_key, set_bits

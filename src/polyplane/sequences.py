@@ -8,12 +8,12 @@ constant term 1.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from math import lcm
-from typing import Iterable, Iterator
 
 from .numtheory import carryless_square, is_probable_prime, least_divisor, prime_factors
 from .numtheory import order_of_two as _order_of_two
-from .poly import ONE, PatternPoly, Window
+from .poly import ONE, Frozen, PatternPoly, Window
 from .series import check_denominator, expand_rows
 
 MAX_HINT_DEGREE = 1024  # deg q bound for the period hint of poly_reciprocal_seq
@@ -37,7 +37,7 @@ def bit_text(values: tuple, what: str) -> str:
     return "".join(map(str, values))
 
 
-class BitSeq:
+class BitSeq(Frozen):
     """An immutable bit string with an optional verified period hint.
 
     The bits are stored as one '0'/'1' str; ``bits`` is a tuple-of-ints view
@@ -56,9 +56,6 @@ class BitSeq:
         object.__setattr__(self, "_text", text)
         object.__setattr__(self, "period_hint", period_hint)
         object.__setattr__(self, "_bits", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BitSeq is immutable")
 
     def __reduce__(self):
         return BitSeq, (self._text, self.period_hint)

@@ -12,10 +12,9 @@ guarantee that every coefficient inside the window is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
-from .poly import ONE, ZERO, PatternPoly, Window, term_text
+from .poly import MAX_BOX_BITS, ONE, ZERO, Frozen, PatternPoly, Window, term_text
 
 
 def check_denominator(q: PatternPoly) -> None:
@@ -31,8 +30,7 @@ def check_denominator(q: PatternPoly) -> None:
             )
 
 
-@dataclass(frozen=True)
-class RationalTerm:
+class RationalTerm(Frozen):
     """A fraction numerator/denominator of GF(2) polynomials.
 
     The numerator may use Laurent exponents; the denominator must be
@@ -40,11 +38,12 @@ class RationalTerm:
     construction.
     """
 
-    numerator: PatternPoly
-    denominator: PatternPoly
+    __slots__ = __match_args__ = ("numerator", "denominator")
 
-    def __post_init__(self) -> None:
-        check_denominator(self.denominator)
+    def __init__(self, numerator: PatternPoly, denominator: PatternPoly):
+        check_denominator(denominator)
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
 
 
 def expand_rows(num: PatternPoly, den: PatternPoly, window: Window) -> list[int]:
@@ -67,6 +66,8 @@ def expand_rows(num: PatternPoly, den: PatternPoly, window: Window) -> list[int]
     lo = min(0, -max(xs)) - depth * reach
     hi = max(0, window.m - min(xs)) + depth * reach
     width = hi - lo + 1
+    if (depth + 1) * width > MAX_BOX_BITS:
+        raise ValueError(f"series band too large: its {width}x{depth + 1} box is over {MAX_BOX_BITS} bits")
     mask = (1 << width) - 1
     min_tap = min(row_taps, default=width)
 

@@ -179,6 +179,27 @@ def test_a_pattern_too_large_to_store_is_a_domain_error(capsys):
     assert "too large" in err
 
 
+def test_a_series_band_too_large_to_store_is_a_domain_error():
+    # the term reaches the window, so its band would span 10^11 columns; it is
+    # refused before any row is built (the address-space cap turns a regression
+    # into a quick MemoryError instead of a machine-wide allocation)
+    import resource
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "polyplane", "expand", "--expr", "x^-100000000000/(1+x)",
+                           "--grid", "1x1"], capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=cap_memory)
+    assert time.perf_counter() - start < 1.0
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error:") and "too large" in done.stderr
+
+
 def test_lfsr_of_high_degree_is_fast(capsys):
     # 1+x+x^137 has an irreducible factor of degree 101, and 2^101 - 1 has no
     # prime factor that a bounded search finds; the bits come out regardless

@@ -1,7 +1,8 @@
-"""The runtime imports nothing outside the standard library."""
+"""The runtime imports nothing outside the standard library, and nothing slow to load."""
 
 import ast
 import pathlib
+import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "polyplane"
@@ -22,3 +23,13 @@ def test_every_import_is_relative_or_from_the_standard_library():
             outside += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_the_cli_imports_neither_dataclasses_nor_typing():
+    # -S keeps site (and any .pth file it runs) from loading these first
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import polyplane.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
