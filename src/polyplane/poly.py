@@ -51,7 +51,7 @@ def term_text(mono: Monomial) -> str:
 
 
 class Frozen:
-    """Base of the immutable value classes: assigning any attribute raises AttributeError.
+    """Base of the immutable value classes: setting or deleting any attribute raises AttributeError.
 
     A subclass that names its constructor arguments in ``__match_args__``,
     each stored in the slot of the same name, also gets ``==`` and ``hash``
@@ -65,7 +65,7 @@ class Frozen:
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    __delattr__ = __setattr__
+    __delattr__ = __setattr__  # called without a value
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])

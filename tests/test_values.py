@@ -183,10 +183,12 @@ def test_repr_text():
     (Perspective(), "rx"),
     (RenderConfig(), "cell"), (RenderConfig(), "perspective"),
 ], ids=lambda v: type(v).__name__ if not isinstance(v, str) else v)
-def test_fields_cannot_be_assigned(value, field):
+def test_fields_cannot_be_assigned_or_deleted(value, field):
     before = repr(value)
     with pytest.raises(AttributeError):
         setattr(value, field, 0)
     with pytest.raises(AttributeError):
         value.extra = 0
+    with pytest.raises(AttributeError):
+        delattr(value, field)
     assert repr(value) == before
