@@ -48,53 +48,53 @@ class RationalTerm(Frozen):
 
 def expand_rows(num: PatternPoly, den: PatternPoly, window: Window) -> list[int]:
     """Window-exact rows of num * (1/den) for admissible den: bit i of row j is cell (i, j)."""
-    out = [0] * window.height
+    n = window.n
+    out = [0] * (n + 1)
     row_taps = [a for a, b in den.support if b == 0 and a > 0]
     lower_taps = [(a, b) for a, b in den.support if b > 0]
     reach = max((abs(a) for a, _ in lower_taps), default=0)
 
     # Series row j has no cell left of column -j*reach, so a numerator term
     # x^u y^v reaches the window only if v <= n and u - (n - v)*reach <= m.
-    shifts = [(u, v) for u, v in num.support if v <= window.n and u - (window.n - v) * reach <= window.m]
+    shifts = [(u, v) for u, v in num.support if v <= n and u - (n - v) * reach <= window.m]
     if not shifts:
         return out
     xs = [u for u, _ in shifts]
-    depth = window.n - min(v for _, v in shifts)  # deepest series row any numerator shift can use
+    depth = n - min(v for _, v in shifts)  # deepest series row any numerator shift can use
 
     # Needed series columns are the window columns shifted by the numerator;
     # each row step may consult `reach` extra columns on either side.
     lo = min(0, -max(xs)) - depth * reach
     hi = max(0, window.m - min(xs)) + depth * reach
     width = hi - lo + 1
-    if (depth + 1) * width > MAX_BOX_BITS:
-        raise ValueError(f"series band too large: its {width}x{depth + 1} box is over {MAX_BOX_BITS} bits")
-    mask = (1 << width) - 1
+    # Row j reads rows j - b only, so the last `kept` rows are all it holds.
+    kept = max((b for _, b in lower_taps), default=0) + 1
+    if kept * width > MAX_BOX_BITS:
+        raise ValueError(f"series band too large: {kept} rows of {width} bits are over {MAX_BOX_BITS} bits")
+    mask, keep = (1 << width) - 1, (1 << window.width) - 1
     min_tap = min(row_taps, default=width)
+    rounds = [[a << k for a in row_taps] for k in range(((width - 1) // min_tap).bit_length())]
+    # Series column i - u is bit i - u - lo; lo <= -u, so the shift is rightward.
+    shifts = [(v, -(u + lo)) for u, v in shifts]
 
-    rows: list[int] = []
+    rows = [0] * kept  # series row j is rows[j % kept]
     for j in range(depth + 1):
         acc = (1 << -lo) if j == 0 else 0  # seed: coefficient 1 at (0, 0)
-        for a, b in lower_taps:
-            if b <= j:
-                src = rows[j - b]
-                acc ^= (src << a) if a >= 0 else (src >> -a)
+        for a, b in lower_taps:  # rows[(j - b) % kept] is still 0 while j < b
+            src = rows[(j - b) % kept]
+            acc ^= (src << a) if a >= 0 else (src >> -a)
         acc &= mask
         # With T the in-row taps, the row is acc / (1 + T), and over GF(2)
-        # 1 / (1 + T) = prod_k (1 + T(x^(2^k))) mod x^width.
-        step = 1
-        while min_tap * step < width:
+        # 1 / (1 + T) = prod_k (1 + T(x^(2^k))) mod x^width; rounds[k] holds the exponents of T(x^(2^k)).
+        for taps in rounds:
             term = 0
-            for a in row_taps:
-                term ^= acc << a * step
+            for a in taps:
+                term ^= acc << a
             acc = (acc ^ term) & mask
-            step <<= 1
-        rows.append(acc)
-
-    # Series column i - u is bit i - u - lo; lo <= -u, so the shift is rightward.
-    keep = (1 << window.width) - 1
-    for u, v in shifts:
-        for j in range(max(v, 0), window.n + 1):
-            out[j] ^= rows[j - v] >> -(u + lo) & keep
+        rows[j % kept] = acc
+        for v, right in shifts:
+            if 0 <= j + v <= n:
+                out[j + v] ^= acc >> right & keep
     return out
 
 

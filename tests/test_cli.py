@@ -8,6 +8,7 @@ import pytest
 from sympy import factorint
 
 from polyplane.cli import build_parser, run
+from polyplane.poly import term_text
 
 
 def test_expand_terms(capsys):
@@ -198,6 +199,18 @@ def test_a_series_band_too_large_to_store_is_a_domain_error():
     assert done.returncode == 1
     assert done.stdout == ""
     assert done.stderr.startswith("error:") and "too large" in done.stderr
+
+
+def test_a_large_window_whose_band_keeps_few_rows_still_expands(capsys):
+    # the band bound counts the rows an expansion keeps, not its rows times
+    # its columns: a polynomial keeps one row of 20,001 bits, 1/(1+x^5*y) two
+    # of 55,001, though the 20001x20001 and 55001x5001 boxes are over 2^28 bits
+    assert run(["expand", "--expr", "1", "--grid", "20000x20000", "--format", "terms"]) == 0
+    assert capsys.readouterr() == ("1\n", "")
+    assert run(["expand", "--expr", "1/(1+x^5*y)", "--grid", "5000x5000", "--format", "terms"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "+".join(term_text((5 * j, j)) for j in range(1001)) + "\n"
+    assert err == ""
 
 
 def test_lfsr_of_high_degree_is_fast(capsys):
