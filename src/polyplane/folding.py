@@ -62,13 +62,8 @@ class BitGrid(Frozen):
     def __getitem__(self, r):
         return self.cells[r]
 
-    def __eq__(self, other):
-        if not isinstance(other, BitGrid):
-            return NotImplemented
-        return self._lines == other._lines
-
-    def __hash__(self):
-        return hash(self._lines)
+    def _key(self) -> tuple:
+        return self._lines
 
     def __str__(self) -> str:
         return "\n".join(self._lines)

@@ -1,4 +1,4 @@
-"""Prime factors and least divisors, for multiplicative orders.
+"""Prime factors, least divisors and GF(2)[x] arithmetic, for multiplicative orders.
 
 The order of an element g of a finite group divides every exponent N of
 the group (every N with g^N = 1 for all g), and it is the least divisor
@@ -7,6 +7,9 @@ dividing N by each prime for as long as the test still holds, so an
 order costs O(log N) tests.  This serves ord_M(2) (d-sequences), ord(q)
 of a polynomial (shift-register period hints) and element orders in the
 torus ring.
+
+GF(2)[x] arithmetic is here too, on polynomials packed into ints, bit k
+standing for x^k: addition is XOR, the rest are the carry-less functions.
 
 Factoring is bounded: a composite part that Pollard-Brent rho does not
 split within a fixed number of steps is left unfactored, and the
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from itertools import compress, count
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 
 def _primes_below(limit: int) -> tuple[int, ...]:
@@ -40,6 +43,10 @@ _WITNESS_BOUND = 3317044064679887385961981  # the least strong pseudoprime to th
 # 2^32, which rho finds in about 2^16 steps, so 2^20 leaves a wide margin;
 # above, a part with no prime factor below about 10^9 is left unsplit.
 _RHO_STEPS_SMALL, _RHO_STEPS = 1 << 20, 1 << 16
+# carryless_square's tables: _SPREAD[h] is the half byte h with bit k moved to bit 2k,
+# and _SPREAD_LOW[b], _SPREAD_HIGH[b] that of the low and the high half of byte b
+_SPREAD = bytes([0, 1, 4, 5, 16, 17, 20, 21, 64, 65, 68, 69, 80, 81, 84, 85])
+_SPREAD_LOW, _SPREAD_HIGH = _SPREAD * 16, bytes(v for v in _SPREAD for _ in range(16))
 
 
 def least_divisor(n: int, primes: Iterable[int], holds: Callable[[int], bool]) -> int | None:
@@ -122,10 +129,91 @@ def order_of_two(modulus: int) -> int:
     return order
 
 
+def order_of_x(q: int) -> int | None:
+    """ord(q), the least d >= 1 with x^d = 1 mod q, for q(0) = 1 and deg q >= 1, or None
+    as :func:`least_divisor` says.  An irreducible factor of degree k has its order
+    dividing 2^k - 1, and a multiplicity e multiplies that by the least 2^t >= e
+    (Lidl & Niederreiter, Finite Fields, ch. 3)."""
+    degrees = _factor_degrees(q)
+    exponent = 1 << (max(degrees.values()) - 1).bit_length()
+    primes = {2}
+    for k in degrees:
+        exponent = lcm(exponent, (1 << k) - 1)
+        primes |= prime_factors((1 << k) - 1)
+    return least_divisor(exponent, primes,
+                         lambda d: carryless_power(0b10, d, lambda a: carryless_divmod(a, q)[1]) == 1)
+
+
+def _factor_degrees(q: int) -> dict[int, int]:
+    # Distinct-degree factorization of q with q(0) = 1: maps each degree d of
+    # an irreducible factor of q to the largest multiplicity among those of
+    # degree d.  gcd(q, x^(2^d) - x) is the product of the degree-d irreducible
+    # factors once each, those of lower degree having been divided out.
+    degrees = {}
+    power, d = 0b10, 0  # x^(2^d) mod q
+    while q.bit_length() - 1 >= 2 * (d + 1):  # else q is 1 or irreducible
+        d += 1
+        power = carryless_divmod(carryless_square(power), q)[1]
+        factors, times = carryless_gcd(q, power ^ 0b10), 0
+        while factors != 1:
+            q = carryless_divmod(q, factors)[0]
+            factors, times = carryless_gcd(q, factors), times + 1
+        if times:
+            degrees[d] = times
+    if q != 1:
+        degrees[q.bit_length() - 1] = 1
+    return degrees
+
+
 def carryless_square(u: int) -> int:
-    """The square of u in GF(2)[x], packed as an int with bit k for x^k: the
-    cross terms cancel in pairs, so bit k moves to bit 2k."""
-    return int("0".join(format(u, "b")), 2)
+    """The square of u in GF(2)[x]: the cross terms cancel in pairs, so bit k
+    moves to bit 2k, spread from each half of each byte by a table."""
+    data = u.to_bytes((u.bit_length() + 7) // 8, "little")
+    out = bytearray(2 * len(data))
+    out[0::2], out[1::2] = data.translate(_SPREAD_LOW), data.translate(_SPREAD_HIGH)
+    return int.from_bytes(out, "little")
+
+
+def carryless_product(u: int, v: int) -> int:
+    """The product of u and v in GF(2)[x]: an XOR of copies of the denser
+    operand, one shifted onto each set bit of the sparser."""
+    if u.bit_count() > v.bit_count():
+        u, v = v, u
+    bits = format(u, "b")[::-1]
+    acc, k = 0, bits.find("1")
+    while k >= 0:
+        acc ^= v << k
+        k = bits.find("1", k + 1)
+    return acc
+
+
+def carryless_power(u: int, e: int, reduce: Callable[[int], int]) -> int:
+    """u^e in GF(2)[x] modulo whatever reduce removes, left to right: square,
+    times u where e has a 1 bit, and reduce after each product."""
+    acc = 1
+    for bit in format(e, "b"):
+        acc = reduce(carryless_square(acc))
+        if bit == "1":
+            acc = reduce(carryless_product(u, acc))
+    return acc
+
+
+def carryless_divmod(a: int, b: int) -> tuple[int, int]:
+    """Quotient and remainder of a by b != 0 in GF(2)[x]."""
+    quotient, size = 0, b.bit_length()
+    while (excess := a.bit_length() - size) >= 0:
+        quotient |= 1 << excess
+        a ^= b << excess
+    return quotient, a
+
+
+def carryless_gcd(a: int, b: int) -> int:
+    """The greatest common divisor of a and b in GF(2)[x]."""
+    while b:
+        a, b = b, carryless_divmod(a, b)[1]
+    return a
+
+
 
 
 def is_probable_prime(n: int) -> bool:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .poly import MAX_BOX_BITS, Monomial, PatternPoly
+from .poly import MAX_BOX_BITS, Monomial, PatternPoly, row_text
 from .sequences import BitSeq
 
 ORDERINGS = ("diagonal", "boustrophedon", "meander")
@@ -108,7 +108,7 @@ def encode(p: PatternPoly, ordering: str, length: int | None = None) -> BitSeq:
     count = _walk_parts(ordering, needed)
     width = count + 1
     rows = [0] * p.y0 + list(p.rows) + [0] * (count - p.y0 - len(p.rows))
-    grid = "".join(format(row << p.x0, f"0{width}b")[::-1] for row in rows)
+    grid = "".join(row_text(row << p.x0, width) for row in rows)
     if ordering == "meander":
         walk = [grid[s : s * width + s + 1 : width] + grid[s * width : s * width + s][::-1]
                 for s in range(count)]

@@ -19,6 +19,8 @@ import operator
 from collections.abc import Iterable, Iterator
 from functools import reduce
 
+from .numtheory import carryless_power, carryless_product
+
 Monomial = tuple  # an (i, j) exponent pair
 MAX_BOX_BITS = 1 << 28  # bound on a polynomial's box, in bits of storage
 
@@ -37,6 +39,11 @@ def set_bits(row: int) -> Iterator[int]:
         row ^= low
 
 
+def row_text(row: int, width: int) -> str:
+    """The '0'/'1' text of a packed row, bit 0 first, padded to width."""
+    return format(row, f"0{width}b")[::-1]
+
+
 def term_text(mono: Monomial) -> str:
     """Canonical text of one monomial: "1", "x", "y^3", "x^2*y", "x^-1*y"."""
     i, j = mono
@@ -53,11 +60,11 @@ def term_text(mono: Monomial) -> str:
 class Frozen:
     """Base of the immutable value classes: setting or deleting any attribute raises AttributeError.
 
+    ``==`` and ``hash`` compare ``_key()`` between instances of one class.
     A subclass that names its constructor arguments in ``__match_args__``,
-    each stored in the slot of the same name, also gets ``==`` and ``hash``
-    over ``_key()`` (all fields unless it says otherwise) between instances
-    of one class, the dataclass-style repr ``Name(field=value, ...)``, and
-    copy and pickle by calling the constructor again.
+    each stored in the slot of the same name, gets all fields as that key
+    unless it says otherwise, the dataclass-style repr ``Name(field=value,
+    ...)``, and copy and pickle by calling the constructor again.
     """
 
     __slots__ = ()
@@ -217,10 +224,8 @@ class PatternPoly(Frozen):
 
     def __mul__(self, other):
         # Kronecker substitution: with rows a stride apart that fits the
-        # product's width, one operand becomes one int, the product is an XOR
-        # of its copies shifted to the set bits of the other, and its rows
-        # never overlap.  The stride is rounded up to whole bytes, so packing
-        # and unpacking go through bytes in linear time.
+        # product's width, each operand becomes one int, and their carry-less
+        # product holds the rows of the product, which never overlap.
         if not isinstance(other, PatternPoly):
             return NotImplemented
         if not self._cols or not other._cols:
@@ -229,27 +234,21 @@ class PatternPoly(Frozen):
         height = len(self.rows) + len(other.rows) - 1
         _check_box(width, height)
         size = (width + 7) // 8  # bytes per packed row
-        few, many = sorted((self.rows, other.rows), key=lambda rows: sum(map(int.bit_count, rows)))
-        packed = int.from_bytes(b"".join(row.to_bytes(size, "little") for row in many), "little")
-        acc = 0
-        for k, row in enumerate(few):
-            for i in set_bits(row):
-                acc ^= packed << 8 * size * k + i
-        data = acc.to_bytes(height * size, "little")
-        rows = [int.from_bytes(data[k : k + size], "little") for k in range(0, len(data), size)]
-        return PatternPoly._make(self.x0 + other.x0, self.y0 + other.y0, rows)
+        product = carryless_product(_pack(self.rows, size), _pack(other.rows, size))
+        return PatternPoly._make(self.x0 + other.x0, self.y0 + other.y0, _unpack(product, size, height))
 
     def __pow__(self, exponent: int):
+        # the packing of *, at a stride that fits the width of the power
+        exponent = operator.index(exponent)
         if exponent < 0:
             raise ValueError("negative powers are not defined for polynomials")
-        result = ONE
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        if not exponent or not self._cols:
+            return ZERO if exponent else ONE
+        width, height = exponent * (self._cols - 1) + 1, exponent * (len(self.rows) - 1) + 1
+        _check_box(width, height)
+        size = (width + 7) // 8
+        power = carryless_power(_pack(self.rows, size), exponent, lambda u: u)
+        return PatternPoly._make(exponent * self.x0, exponent * self.y0, _unpack(power, size, height))
 
     def shift(self, dx: int, dy: int) -> "PatternPoly":
         """Translate the pattern: multiply by x^dx y^dy (dx, dy may be < 0)."""
@@ -289,13 +288,8 @@ class PatternPoly(Frozen):
     def __bool__(self) -> bool:
         return bool(self._cols)
 
-    def __eq__(self, other):
-        if not isinstance(other, PatternPoly):
-            return NotImplemented
-        return (self.x0, self.y0, self.rows) == (other.x0, other.y0, other.rows)
-
-    def __hash__(self):
-        return hash((self.x0, self.y0, self.rows))
+    def _key(self) -> tuple:
+        return (self.x0, self.y0, self.rows)
 
     def __str__(self) -> str:
         if not self._cols:
@@ -304,6 +298,16 @@ class PatternPoly(Frozen):
 
     def __repr__(self) -> str:
         return f"PatternPoly({str(self)!r})"
+
+
+def _pack(rows: tuple, size: int) -> int:
+    # the rows as one int, size bytes apart; bytes make packing and unpacking linear
+    return int.from_bytes(b"".join(row.to_bytes(size, "little") for row in rows), "little")
+
+
+def _unpack(packed: int, size: int, height: int) -> list[int]:
+    data = packed.to_bytes(height * size, "little")
+    return [int.from_bytes(data[k : k + size], "little") for k in range(0, len(data), size)]
 
 
 def _init(p: PatternPoly, x0: int, y0: int, rows: tuple, cols: int, support=None) -> PatternPoly:

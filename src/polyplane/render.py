@@ -9,9 +9,10 @@ config shrinks cell widths and heights geometrically along the axes.
 
 from __future__ import annotations
 
+import math
 from itertools import accumulate
 
-from .poly import Frozen, PatternPoly, Window, set_bits
+from .poly import Frozen, PatternPoly, Window, row_text, set_bits
 
 
 class Perspective(Frozen):
@@ -39,7 +40,7 @@ class RenderConfig(Frozen):
             raise ValueError("on and off glyphs must differ")
         if origin not in ("top_left", "bottom_left"):  # row 0 at the top or at the bottom
             raise ValueError(f"unknown origin {origin!r}")
-        if cell <= 0:
+        if cell <= 0 or not math.isfinite(cell):
             raise ValueError("cell size must be positive")
         object.__setattr__(self, "glyph_on", glyph_on)
         object.__setattr__(self, "glyph_off", glyph_off)
@@ -62,17 +63,14 @@ def _rows(p: PatternPoly, window: Window, config: RenderConfig) -> list[int]:
 def render_ascii(p: PatternPoly, window: Window, config: RenderConfig = DEFAULT_CONFIG) -> str:
     """Character-grid rendering, one line per row."""
     glyphs = str.maketrans("10", config.glyph_on + config.glyph_off)
-    return "\n".join(
-        format(row, f"0{window.width}b")[::-1].translate(glyphs)
-        for row in _rows(p, window, config)
-    )
+    return "\n".join(row_text(row, window.width).translate(glyphs) for row in _rows(p, window, config))
 
 
 def render_pbm(p: PatternPoly, window: Window) -> bytes:
     """Plain PBM (P1) bytes; 1 marks a pattern point, row 0 is y = 0."""
     lines = ["P1", f"{window.width} {window.height}"]
     rows = _rows(p, window, DEFAULT_CONFIG)  # the default origin is top_left
-    lines += (" ".join(format(row, f"0{window.width}b")[::-1]) for row in rows)
+    lines += (" ".join(row_text(row, window.width)) for row in rows)
     return ("\n".join(lines) + "\n").encode("ascii")
 
 

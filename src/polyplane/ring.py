@@ -24,7 +24,7 @@ from functools import cached_property, reduce
 from math import lcm
 from operator import xor
 
-from .numtheory import carryless_square, least_divisor, order_of_two, prime_factors
+from .numtheory import carryless_power, carryless_product, least_divisor, order_of_two, prime_factors
 from .poly import PatternPoly, diag_key, set_bits
 
 MAX_TABLE_CELLS = 64  # m*n bound for mul_table
@@ -76,7 +76,7 @@ class QuotientRing:
 
     def mul(self, a: PatternPoly, b: PatternPoly) -> PatternPoly:
         """Product in the ring."""
-        return self._unpack(self._mul(self._pack(a), self._pack(b)))
+        return self._unpack(self._fold(carryless_product(self._pack(a), self._pack(b))))
 
     def _pack(self, a: PatternPoly) -> int:
         # the residue of a: rows folded mod n, then each mod x^m - 1, after
@@ -99,25 +99,6 @@ class QuotientRing:
         # a plain product, rows 0..2n-2 and columns 0..2m-2, to its residue
         u = (u & self._rows) ^ (u >> self.n * self._stride)
         return (u & self._cols) ^ (u >> self.m & self._wrap)
-
-    def _mul(self, u: int, v: int) -> int:
-        if u.bit_count() > v.bit_count():
-            u, v = v, u
-        acc = 0
-        while u:
-            low = u & -u
-            acc ^= v * low  # v shifted by the index of that bit
-            u ^= low
-        return self._fold(acc)
-
-    def _pow(self, u: int, e: int) -> int:
-        # left to right square-and-multiply; a square spreads bit k to bit 2k
-        acc = 1
-        for bit in format(e, "b"):
-            acc = self._fold(carryless_square(acc))
-            if bit == "1":
-                acc = self._mul(u, acc)
-        return acc
 
     @cached_property
     def _exponent(self) -> tuple[int, set[int]]:
@@ -171,10 +152,10 @@ class QuotientRing:
             raise ValueError("the zero element has no order")
         exponent, primes = self._exponent
         u = self._pack(a)
-        e = self._pow(u, exponent)
-        if self._mul(e, u) != u:
+        e = carryless_power(u, exponent, self._fold)
+        if self._fold(carryless_product(e, u)) != u:
             raise ValueError(f"powers of {a} never return to it (nilpotent part)")
-        period = least_divisor(exponent, primes, lambda d: self._pow(u, d) == e)
+        period = least_divisor(exponent, primes, lambda d: carryless_power(u, d, self._fold) == e)
         if period is None:
             raise ValueError(f"the order of {a} needs prime factors of 2^L - 1 that were not found")
         return period + (e != 1)

@@ -9,11 +9,10 @@ constant term 1.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from math import lcm
 
-from .numtheory import carryless_square, is_probable_prime, least_divisor, prime_factors
+from .numtheory import is_probable_prime, order_of_x
 from .numtheory import order_of_two as _order_of_two
-from .poly import ONE, Frozen, PatternPoly, Window
+from .poly import ONE, Frozen, PatternPoly, Window, row_text
 from .series import check_denominator, expand_rows
 
 MAX_HINT_DEGREE = 1024  # deg q bound for the period hint of poly_reciprocal_seq
@@ -76,13 +75,8 @@ class BitSeq(Frozen):
     def __iter__(self) -> Iterator[int]:
         return iter(self.bits)
 
-    def __eq__(self, other):
-        if not isinstance(other, BitSeq):
-            return NotImplemented
-        return self._text == other._text  # the hint is metadata, not part of the value
-
-    def __hash__(self):
-        return hash(self._text)
+    def _key(self) -> str:
+        return self._text  # the hint is metadata, not part of the value
 
     def __str__(self) -> str:
         return self._text
@@ -114,67 +108,6 @@ def period(s: BitSeq) -> int:
 
 def _is_odd_prime(p: int) -> bool:
     return p % 2 == 1 and is_probable_prime(p)
-
-
-def _divmod(a: int, b: int) -> tuple[int, int]:
-    # quotient and remainder in GF(2)[x], packed as ints (bit k is x^k)
-    quotient, size = 0, b.bit_length()
-    while (excess := a.bit_length() - size) >= 0:
-        quotient |= 1 << excess
-        a ^= b << excess
-    return quotient, a
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _divmod(a, b)[1]
-    return a
-
-
-def _x_power_mod(d: int, q: int) -> int:
-    # x^d mod q, left to right: square, times x where d has a 1 bit, reduce
-    acc = 1
-    for bit in format(d, "b"):
-        acc = _divmod(carryless_square(acc) << (bit == "1"), q)[1]
-    return acc
-
-
-def _factor_degrees(q: int) -> dict[int, int]:
-    # Distinct-degree factorization of packed q with q(0) = 1: maps each degree d
-    # of an irreducible factor of q to the largest multiplicity among those of
-    # degree d.  gcd(q, x^(2^d) - x) is the product of the degree-d irreducible
-    # factors once each, those of lower degree having been divided out.
-    degrees = {}
-    power, d = 0b10, 0  # x^(2^d) mod q
-    while q.bit_length() - 1 >= 2 * (d + 1):  # else q is 1 or irreducible
-        d += 1
-        power = _divmod(carryless_square(power), q)[1]
-        factors, times = _gcd(q, power ^ 0b10), 0
-        while factors != 1:
-            q = _divmod(q, factors)[0]
-            factors, times = _gcd(q, factors), times + 1
-        if times:
-            degrees[d] = times
-    if q != 1:
-        degrees[q.bit_length() - 1] = 1
-    return degrees
-
-
-def _poly_order(q: int) -> int | None:
-    # ord(q), the least d >= 1 with x^d = 1 mod q, for packed q with q(0) = 1 and
-    # degree at least 1.  An irreducible factor of degree k has its order dividing
-    # 2^k - 1, and a multiplicity e multiplies that by the least 2^t >= e (Lidl &
-    # Niederreiter, Finite Fields, ch. 3).  None above MAX_HINT_DEGREE, or when
-    # the order shares a factor with a part of some 2^k - 1 left unfactored.
-    if q.bit_length() - 1 > MAX_HINT_DEGREE:
-        return None
-    degrees = _factor_degrees(q)
-    exponent = 1 << (max(degrees.values()) - 1).bit_length()
-    primes = {2}
-    for k in degrees:
-        exponent = lcm(exponent, (1 << k) - 1)
-        primes |= prime_factors((1 << k) - 1)
-    return least_divisor(exponent, primes, lambda d: _x_power_mod(d, q) == 1)
 
 
 def dseq(p: int, count: int) -> BitSeq:
@@ -211,7 +144,7 @@ def poly_reciprocal_seq(q: PatternPoly, count: int) -> BitSeq:
     check_denominator(q)
     if len(q.rows) > 1:  # check_denominator leaves y^0 as the first row
         raise ValueError("polynomial must be univariate in x")
-    row = expand_rows(ONE, q, Window(count - 1, 0))[0]
-    bits = format(row, f"0{count}b")[::-1]
+    bits = row_text(expand_rows(ONE, q, Window(count - 1, 0))[0], count)
     packed = q.rows[0]  # with bit 0, the constant term
-    return BitSeq(bits, period_hint=_poly_order(packed) if packed > 1 else None)
+    degree = packed.bit_length() - 1
+    return BitSeq(bits, period_hint=order_of_x(packed) if 0 < degree <= MAX_HINT_DEGREE else None)

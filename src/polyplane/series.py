@@ -99,9 +99,8 @@ def expand_rows(num: PatternPoly, den: PatternPoly, window: Window) -> list[int]
 
 
 def reciprocal(q: PatternPoly, window: Window) -> PatternPoly:
-    """Expansion of 1/q truncated to the window."""
-    check_denominator(q)
-    return PatternPoly.from_rows(expand_rows(ONE, q, window))
+    """Expansion of 1/q truncated to the window: :func:`eval_term` of 1/q."""
+    return eval_term(RationalTerm(ONE, q), window)
 
 
 def eval_term(term: RationalTerm, window: Window) -> PatternPoly:

@@ -36,6 +36,13 @@ def test_expand_wrap_mode(capsys):
     assert capsys.readouterr().out == "x^2\n"
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_render_refuses_a_cell_size_that_is_not_finite(capsys, cell):
+    assert run(["render", "--expr", "1", "--grid", "1x0", "--format", "svg", "--cell", cell]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: cell size must be positive\n"
+
+
 def test_expand_from_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("1/(1+y)"))
     assert run(["expand", "--stdin", "--grid", "2x3"]) == 0

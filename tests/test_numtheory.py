@@ -1,12 +1,18 @@
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import factorint, isprime, primerange
+from sympy import Poly, S, factorint, isprime, primerange, symbols
 
 from polyplane.numtheory import (
     _is_strong_lucas_probable_prime,
+    carryless_divmod,
+    carryless_gcd,
+    carryless_power,
+    carryless_product,
+    carryless_square,
     is_probable_prime,
     least_divisor,
     order_of_two,
+    order_of_x,
     prime_factors,
 )
 
@@ -72,3 +78,61 @@ def test_probable_prime_matches_sympy_above_the_bound(n):
     n |= 1
     if all(n % p for p in primerange(3, 1000)):
         assert is_probable_prime(n) == isprime(n)
+
+
+# -- GF(2)[x] arithmetic on packed ints, against sympy and set-based products ------
+
+SX = symbols("x")
+gf2_polys = st.integers(0, (1 << 40) - 1)
+
+
+def to_sympy(u):
+    return Poly(sum((SX ** k for k in range(u.bit_length()) if u >> k & 1), S.Zero), SX, modulus=2)
+
+
+def from_sympy(poly):
+    return sum(1 << k for (k,), c in poly.terms() if int(c) % 2)
+
+
+def set_product(u, v):
+    # the exponents of a product are the sums i + j, each kept if it occurs an odd number of times
+    terms = set()
+    for i in range(u.bit_length()):
+        for j in range(v.bit_length()):
+            if u >> i & 1 and v >> j & 1:
+                terms ^= {i + j}
+    return sum(1 << k for k in terms)
+
+
+@settings(deadline=None, max_examples=200)
+@given(gf2_polys, gf2_polys)
+def test_carryless_product_matches_a_set_product_and_sympy(u, v):
+    assert carryless_product(u, v) == carryless_product(v, u) == set_product(u, v)
+    assert carryless_product(u, v) == from_sympy(to_sympy(u) * to_sympy(v))
+    assert carryless_square(u) == set_product(u, u)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, (1 << 12) - 1), st.integers(0, 40), st.integers(1, (1 << 10) - 1))
+def test_carryless_power_matches_sympy(u, e, q):
+    q |= 1 << 10  # degree 10
+    assert carryless_power(u, e, lambda a: a) == from_sympy(to_sympy(u) ** e)
+    want = from_sympy((to_sympy(u) ** e).rem(to_sympy(q)))
+    assert carryless_power(u, e, lambda a: carryless_divmod(a, q)[1]) == want
+
+
+@settings(deadline=None, max_examples=200)
+@given(gf2_polys, gf2_polys.filter(bool))
+def test_carryless_divmod_and_gcd(a, b):
+    quotient, remainder = carryless_divmod(a, b)
+    assert carryless_product(quotient, b) ^ remainder == a
+    assert remainder.bit_length() < b.bit_length()
+    assert carryless_gcd(a, b) == from_sympy(to_sympy(a).gcd(to_sympy(b)))
+
+
+def test_order_of_x_matches_a_search_up_to_degree_10():
+    for q in range(3, 1 << 11, 2):  # q(0) = 1 and degree 1 to 10
+        x_power, d = 0b10, 1  # x^d mod q
+        while carryless_divmod(x_power, q)[1] != 1:
+            x_power, d = carryless_divmod(x_power << 1, q)[1], d + 1
+        assert order_of_x(q) == d, bin(q)

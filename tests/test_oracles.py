@@ -42,6 +42,12 @@ def test_mul_matches_sympy(a, b):
     assert product_.support == from_sympy(to_sympy(a) * to_sympy(b), 2 * LOW)
 
 
+@settings(deadline=None, max_examples=50)
+@given(st.frozensets(st.tuples(st.integers(-LOW, LOW), st.integers(-LOW, LOW)), max_size=5), st.integers(0, 4))
+def test_pow_matches_sympy(a, e):
+    assert (PatternPoly(a) ** e).support == from_sympy(to_sympy(a) ** e, e * LOW)
+
+
 @given(supports, shifts, shifts)
 def test_shift_matches_sympy(a, dx, dy):
     moved = to_sympy(a) * sympy.Poly(SX ** (dx + 2 * LOW) * SY ** (dy + 2 * LOW), SX, SY, modulus=2)

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 from sympy import Poly, factorint, symbols
 
 from polyplane.dsl import parse_poly as P
+from polyplane.numtheory import _factor_degrees
 from polyplane.poly import PatternPoly
 from polyplane.sequences import (
     MAX_HINT_DEGREE,
     BitSeq,
-    _factor_degrees,
     _is_odd_prime,
     _order_of_two,
     dseq,

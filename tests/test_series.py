@@ -117,6 +117,14 @@ def test_eval_term_requires_window_mode():
         eval_term(RationalTerm(ONE, P("1+x")), Window(4, 3, "wrap"))
 
 
+def test_reciprocal_requires_window_mode_like_eval_term():
+    # 1+x has no inverse on the 4x1 torus, so no wrap-mode series could stand for it
+    with pytest.raises(ValueError, match="window-mode"):
+        reciprocal(P("1+x"), Window(3, 0, "wrap"))
+    with pytest.raises(ValueError, match="no constant term"):
+        reciprocal(P("x"), Window(3, 0))
+
+
 def test_rational_term_validates_on_construction():
     with pytest.raises(ValueError):
         RationalTerm(ONE, P("x+y"))
