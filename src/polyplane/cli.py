@@ -21,34 +21,25 @@ from .sequences import BitSeq, dseq, poly_reciprocal_seq
 FORMATS = ("terms", "ascii", "pbm", "svg")
 
 
-def _grid_arg(text: str) -> tuple[int, int]:
-    try:
-        m, n = (int(part) for part in text.lower().split("x"))
-        if m < 0 or n < 0:
-            raise ValueError
-        return m, n
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected MxN with nonnegative integers, got {text!r}")
+def _pair_arg(shape: str, sep: str, least: int, offset: int = 0):
+    # an argparse type for two integers of at least `least` joined by sep, each less offset
+    kind = "positive" if least else "nonnegative"
+
+    def convert(text: str) -> tuple[int, int]:
+        try:
+            a, b = (int(part) for part in text.lower().split(sep))
+            if min(a, b) >= least:
+                return a - offset, b - offset
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {shape} with {kind} integers, got {text!r}")
+
+    return convert
 
 
-def _size_arg(text: str) -> tuple[int, int]:
-    try:
-        w, h = (int(part) for part in text.lower().split("x"))
-        if w < 1 or h < 1:
-            raise ValueError
-        return w - 1, h - 1  # cell counts to inclusive max exponents
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected WxH with positive integers, got {text!r}")
-
-
-def _mod_arg(text: str) -> tuple[int, int]:
-    try:
-        m, n = (int(part) for part in text.split(","))
-        if m < 1 or n < 1:
-            raise ValueError
-        return m, n
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected M,N with positive integers, got {text!r}")
+_grid_arg = _pair_arg("MxN", "x", 0)
+_size_arg = _pair_arg("WxH", "x", 1, offset=1)  # cell counts to inclusive max exponents
+_mod_arg = _pair_arg("M,N", ",", 1)
 
 
 def _bits_arg(text: str) -> BitSeq:
@@ -56,6 +47,45 @@ def _bits_arg(text: str) -> BitSeq:
         return BitSeq(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+def _run_expand(args: argparse.Namespace) -> str | bytes:
+    window = Window(*args.grid, args.mode)
+    text = args.expr if args.expr is not None else sys.stdin.read()
+    pattern = evaluate(parse(text), window)
+    if args.format == "terms":
+        return f"{pattern}\n"
+    if args.format == "pbm":
+        return render_pbm(pattern, window)
+    config = RenderConfig(args.glyph_on, args.glyph_off, args.origin.replace("-", "_"), args.cell,
+                          Perspective(args.rx, args.ry))
+    if args.format == "ascii":
+        return render_ascii(pattern, window, config) + "\n"
+    return render_svg(pattern, window, config)
+
+
+def _run_table(args: argparse.Namespace) -> str:
+    ring = QuotientRing(*args.mod)
+    table = ring.mul_table()
+    labels = [str(PatternPoly.monomial(i, j)) for i, j in ring.basis]
+    grid = [["*", *labels]]
+    for label, row in zip(labels, table):
+        grid.append([label, *[str(cell) for cell in row]])
+    widths = [max(len(grid[r][c]) for r in range(len(grid))) for c in range(len(grid[0]))]
+    lines = [
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+        for row in grid
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _run_invert(args: argparse.Namespace) -> str:
+    m, n = args.mod
+    ring = QuotientRing(m, n)
+    inverse = ring.inverse(parse_poly(args.element))
+    if inverse is None:
+        raise ValueError(f"{args.element!r} is not invertible mod ({m},{n})")
+    return f"{inverse}\n"
 
 
 def _add_pattern_parser(subparsers, name: str, help_text: str, default_format: str) -> None:
@@ -76,8 +106,9 @@ def _add_pattern_parser(subparsers, name: str, help_text: str, default_format: s
     sub.add_argument("--glyph-on", default="#", metavar="CH")
     sub.add_argument("--glyph-off", default=".", metavar="CH")
     sub.add_argument("--cell", type=float, default=16.0, help="SVG base cell size")
-    sub.add_argument("--rx", type=float, default=None, help="SVG column width decay ratio")
-    sub.add_argument("--ry", type=float, default=None, help="SVG row height decay ratio")
+    sub.add_argument("--rx", type=float, default=1.0, help="SVG column width decay ratio")
+    sub.add_argument("--ry", type=float, default=1.0, help="SVG row height decay ratio")
+    sub.set_defaults(run=_run_expand)
 
 
 @cache  # built once per process: parsing leaves the parser unchanged
@@ -94,133 +125,46 @@ def build_parser() -> argparse.ArgumentParser:
     order = sub.add_parser("order", help="order of a ring element")
     order.add_argument("--element", required=True, help="polynomial text, e.g. '1+x'")
     order.add_argument("--mod", required=True, type=_mod_arg, metavar="M,N")
+    order.set_defaults(run=lambda args: f"{QuotientRing(*args.mod).order(parse_poly(args.element))}\n")
 
     table = sub.add_parser("table", help="multiplication table of the monomial basis")
     table.add_argument("--mod", required=True, type=_mod_arg, metavar="M,N")
+    table.set_defaults(run=_run_table)
 
     invert = sub.add_parser("invert", help="ring inverse of an element")
     invert.add_argument("--element", required=True)
     invert.add_argument("--mod", required=True, type=_mod_arg, metavar="M,N")
+    invert.set_defaults(run=_run_invert)
 
     fold_cmd = sub.add_parser("map", help="fold a bit sequence into an array")
     fold_cmd.add_argument("--seq", required=True, type=_bits_arg)
     fold_cmd.add_argument("--rows", required=True, type=int)
     fold_cmd.add_argument("--cols", required=True, type=int)
     fold_cmd.add_argument("--scheme", required=True, choices=SCHEMES)
+    fold_cmd.set_defaults(run=lambda args: f"{fold(args.seq, args.rows, args.cols, args.scheme)}\n")
 
     dseq_cmd = sub.add_parser("dseq", help="prime reciprocal bit sequence")
     dseq_cmd.add_argument("--p", required=True, type=int, help="odd prime")
     dseq_cmd.add_argument("--count", required=True, type=int)
+    dseq_cmd.set_defaults(run=lambda args: f"{dseq(args.p, args.count)}\n")
 
     lfsr = sub.add_parser("lfsr", help="shift-register sequence of 1/q(x)")
     lfsr.add_argument("--poly", required=True, help="univariate polynomial, e.g. '1+x+x^3'")
     lfsr.add_argument("--count", required=True, type=int)
+    lfsr.set_defaults(run=lambda args: f"{poly_reciprocal_seq(parse_poly(args.poly), args.count)}\n")
 
     enc = sub.add_parser("encode", help="polynomial to bit string")
     enc.add_argument("--poly", required=True)
     enc.add_argument("--ordering", choices=ORDERINGS, default="diagonal")
     enc.add_argument("--length", type=int, default=None)
+    enc.set_defaults(run=lambda args: f"{encode(parse_poly(args.poly), args.ordering, args.length)}\n")
 
     dec = sub.add_parser("decode", help="bit string to polynomial")
     dec.add_argument("--bits", required=True, type=_bits_arg)
     dec.add_argument("--ordering", choices=ORDERINGS, default="diagonal")
+    dec.set_defaults(run=lambda args: f"{decode(args.bits, args.ordering)}\n")
 
     return parser
-
-
-def _config(args: argparse.Namespace) -> RenderConfig:
-    perspective = None
-    if args.rx is not None or args.ry is not None:
-        perspective = Perspective(
-            args.rx if args.rx is not None else 1.0,
-            args.ry if args.ry is not None else 1.0,
-        )
-    return RenderConfig(
-        glyph_on=args.glyph_on,
-        glyph_off=args.glyph_off,
-        origin=args.origin.replace("-", "_"),
-        cell=args.cell,
-        perspective=perspective,
-    )
-
-
-def _run_expand(args: argparse.Namespace) -> str | bytes:
-    window = Window(*args.grid, args.mode)
-    text = args.expr if args.expr is not None else sys.stdin.read()
-    pattern = evaluate(parse(text), window)
-    if args.format == "terms":
-        return f"{pattern}\n"
-    if args.format == "ascii":
-        return render_ascii(pattern, window, _config(args)) + "\n"
-    if args.format == "pbm":
-        return render_pbm(pattern, window)
-    return render_svg(pattern, window, _config(args))
-
-
-def _run_order(args: argparse.Namespace) -> str:
-    m, n = args.mod
-    ring = QuotientRing(m, n)
-    element = ring.reduce(parse_poly(args.element))
-    return f"{ring.order(element)}\n"
-
-
-def _run_table(args: argparse.Namespace) -> str:
-    m, n = args.mod
-    ring = QuotientRing(m, n)
-    table = ring.mul_table()
-    labels = [str(PatternPoly.monomial(i, j)) for i, j in ring.basis]
-    grid = [["*", *labels]]
-    for label, row in zip(labels, table):
-        grid.append([label, *[str(cell) for cell in row]])
-    widths = [max(len(grid[r][c]) for r in range(len(grid))) for c in range(len(grid[0]))]
-    lines = [
-        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-        for row in grid
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _run_invert(args: argparse.Namespace) -> str:
-    m, n = args.mod
-    ring = QuotientRing(m, n)
-    inverse = ring.inverse(ring.reduce(parse_poly(args.element)))
-    if inverse is None:
-        raise ValueError(f"{args.element!r} is not invertible mod ({m},{n})")
-    return f"{inverse}\n"
-
-
-def _run_map(args: argparse.Namespace) -> str:
-    return f"{fold(args.seq, args.rows, args.cols, args.scheme)}\n"
-
-
-def _run_dseq(args: argparse.Namespace) -> str:
-    return f"{dseq(args.p, args.count)}\n"
-
-
-def _run_lfsr(args: argparse.Namespace) -> str:
-    return f"{poly_reciprocal_seq(parse_poly(args.poly), args.count)}\n"
-
-
-def _run_encode(args: argparse.Namespace) -> str:
-    return f"{encode(parse_poly(args.poly), args.ordering, args.length)}\n"
-
-
-def _run_decode(args: argparse.Namespace) -> str:
-    return f"{decode(args.bits, args.ordering)}\n"
-
-
-_HANDLERS = {
-    "expand": _run_expand,
-    "render": _run_expand,
-    "order": _run_order,
-    "table": _run_table,
-    "invert": _run_invert,
-    "map": _run_map,
-    "dseq": _run_dseq,
-    "lfsr": _run_lfsr,
-    "encode": _run_encode,
-    "decode": _run_decode,
-}
 
 
 def run(argv=None) -> int:
@@ -231,7 +175,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        output = _HANDLERS[args.command](args)
+        output = args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

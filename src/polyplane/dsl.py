@@ -11,7 +11,7 @@ Grammar (whitespace insignificant)::
 '-' means the same as '+' (coefficients live in GF(2)), '*' between
 atoms is optional ("xy^2" equals "x*y^2"), and a parenthesized
 expression used as an atom must be a plain polynomial: division does not
-nest.  Error messages carry 0-based character offsets.
+nest.  Digits are ASCII.  Error messages carry 0-based character offsets.
 
 Evaluation on a window is mode-dependent.  In window mode every term
 num/den expands as a power series truncated to the rectangle.  In wrap
@@ -47,6 +47,11 @@ class Token(Frozen):
         object.__setattr__(self, "pos", pos)
 
 
+_DIGITS = "0123456789"  # ASCII only: int() would also read other scripts' digits
+_KINDS = {"x": "var", "y": "var", "(": "lparen", ")": "rparen",
+          **dict.fromkeys("+-*/^", "op"), **dict.fromkeys(_DIGITS, "int")}
+
+
 def tokenize(text: str) -> list[Token]:
     """Split an expression into tokens; raises ParseError on junk."""
     tokens: list[Token] = []
@@ -56,35 +61,19 @@ def tokenize(text: str) -> list[Token]:
         if ch.isspace():
             k += 1
             continue
-        signed = (
-            ch in "+-"
-            and tokens
-            and tokens[-1].kind == "op"
-            and tokens[-1].value == "^"
-            and k + 1 < len(text)
-            and text[k + 1].isdigit()
-        )
-        if ch.isdigit() or signed:
-            start = k
-            if signed:
-                k += 1
-            while k < len(text) and text[k].isdigit():
+        kind = _KINDS.get(ch)
+        if kind is None:
+            raise ParseError(f"unknown character {ch!r}", k)
+        if ch in "+-" and tokens and tokens[-1].value == "^" and k + 1 < len(text) and text[k + 1] in _DIGITS:
+            kind = "int"  # the sign of an exponent
+        start = k
+        k += 1
+        if kind == "int":
+            while k < len(text) and text[k] in _DIGITS:
                 k += 1
             tokens.append(Token("int", int(text[start:k]), start))
-        elif ch in "xy":
-            tokens.append(Token("var", ch, k))
-            k += 1
-        elif ch in "+-*/^":
-            tokens.append(Token("op", ch, k))
-            k += 1
-        elif ch == "(":
-            tokens.append(Token("lparen", ch, k))
-            k += 1
-        elif ch == ")":
-            tokens.append(Token("rparen", ch, k))
-            k += 1
         else:
-            raise ParseError(f"unknown character {ch!r}", k)
+            tokens.append(Token(kind, ch, start))
     return tokens
 
 
@@ -136,105 +125,89 @@ def _term_to_text(t: Term) -> str:
     return text
 
 
+def _plain_sum(terms) -> PatternPoly:
+    # the sum of division-free terms; ParseError at the '/' of the first other one
+    total = PatternPoly()
+    for t in terms:
+        if t.denominator is not None:
+            raise ParseError("nested division", t.div_pos)
+        total = total + t.numerator
+    return total
+
+
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = tokenize(text)
+        self.tokens.append(Token("end", None, len(text)))  # so that peek() always has a token
         self.k = 0
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.k] if self.k < len(self.tokens) else None
+    def peek(self) -> Token:
+        return self.tokens[self.k]
 
     def advance(self) -> Token:
         tok = self.tokens[self.k]
         self.k += 1
         return tok
 
-    def here(self) -> int:
-        tok = self.peek()
-        return tok.pos if tok is not None else len(self.text)
+    def take(self, *lexemes: str) -> Token | None:
+        """Consume the next token if it is one of the operators or parentheses given."""
+        if self.peek().value in lexemes:
+            return self.advance()
+        return None
 
     def fail(self, message: str):
-        raise ParseError(message, self.here())
+        raise ParseError(message, self.peek().pos)
 
     def parse(self) -> PatternExpr:
         terms = self.expr()
-        if self.peek() is not None:
+        if self.peek().kind != "end":
             self.fail(f"unexpected {self.peek().value!r}")
         return PatternExpr(tuple(terms))
 
     def expr(self) -> list[Term]:
         terms = [self.term()]
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == "op" and tok.value in "+-":
-                self.advance()
-                terms.append(self.term())
-            else:
-                return terms
+        while self.take("+", "-"):
+            terms.append(self.term())
+        return terms
 
     def term(self) -> Term:
-        start = self.here()
+        start = self.peek().pos
         numerator = self.factor()
-        tok = self.peek()
-        if tok is not None and tok.kind == "op" and tok.value == "/":
-            div_pos = self.advance().pos
-            denominator = self.factor()
-            if not denominator:
-                raise ParseError("denominator is the zero polynomial", div_pos)
-            return Term(numerator, denominator, pos=start, div_pos=div_pos)
-        return Term(numerator, pos=start)
+        slash = self.take("/")
+        if slash is None:
+            return Term(numerator, pos=start)
+        denominator = self.factor()
+        if not denominator:
+            raise ParseError("denominator is the zero polynomial", slash.pos)
+        return Term(numerator, denominator, pos=start, div_pos=slash.pos)
 
     def factor(self) -> PatternPoly:
         product = self.atom()
-        while True:
-            tok = self.peek()
-            if tok is None:
-                return product
-            if tok.kind == "op" and tok.value == "*":
-                self.advance()
-                product = product * self.atom()
-            elif tok.kind in ("int", "var", "lparen"):
-                product = product * self.atom()  # juxtaposition
-            else:
-                return product
+        while self.take("*") or self.peek().kind in ("int", "var", "lparen"):  # or juxtaposition
+            product = product * self.atom()
+        return product
 
     def atom(self) -> PatternPoly:
         tok = self.peek()
-        if tok is None:
-            self.fail("unexpected end of input")
         if tok.kind == "int":
             if tok.value != 1:
-                raise ParseError("the only numeric literal is 1", tok.pos)
+                self.fail("the only numeric literal is 1")
             self.advance()
             return ONE
         if tok.kind == "var":
             self.advance()
             exponent = 1
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "op" and nxt.value == "^":
-                self.advance()
-                etok = self.peek()
-                if etok is None or etok.kind != "int":
+            if self.take("^"):
+                if self.peek().kind != "int":
                     self.fail("exponent must be an integer")
                 exponent = self.advance().value
-            if tok.value == "x":
-                return PatternPoly.monomial(exponent, 0)
-            return PatternPoly.monomial(0, exponent)
-        if tok.kind == "lparen":
-            self.advance()
+            return PatternPoly.monomial(exponent, 0) if tok.value == "x" else PatternPoly.monomial(0, exponent)
+        if self.take("("):
             inner = self.expr()
-            closing = self.peek()
-            if closing is None or closing.kind != "rparen":
+            if not self.take(")"):
                 self.fail("expected ')'")
-            self.advance()
-            value = PatternPoly()
-            for t in inner:
-                if t.denominator is not None:
-                    raise ParseError("nested division", t.div_pos)
-                value = value + t.numerator
-            return value
-        self.fail(f"unexpected {tok.value!r}")
+            return _plain_sum(inner)
+        self.fail("unexpected end of input" if tok.kind == "end" else f"unexpected {tok.value!r}")
 
 
 def parse(text: str) -> PatternExpr:
@@ -245,12 +218,10 @@ def parse(text: str) -> PatternExpr:
 def parse_poly(text: str) -> PatternPoly:
     """Parse a plain polynomial (an expression without division)."""
     expr = parse(text)
-    total = PatternPoly()
-    for t in expr.terms:
-        if t.denominator is not None:
-            raise ValueError("expected a plain polynomial, found a division")
-        total = total + t.numerator
-    return total
+    try:
+        return _plain_sum(expr.terms)
+    except ParseError:
+        raise ValueError("expected a plain polynomial, found a division") from None
 
 
 def evaluate(expr: PatternExpr, window: Window) -> PatternPoly:
@@ -263,7 +234,7 @@ def evaluate(expr: PatternExpr, window: Window) -> PatternPoly:
             if t.denominator is None:
                 acc = acc + numerator
                 continue
-            inverse = ring.inverse(ring.reduce(t.denominator))
+            inverse = ring.inverse(t.denominator)
             if inverse is None:
                 raise ValueError(
                     f"term {idx + 1} ({_term_to_text(t)}): denominator is not invertible "

@@ -90,6 +90,8 @@ def render_svg(p: PatternPoly, window: Window, config: RenderConfig = DEFAULT_CO
     heights = [config.cell * persp.ry**l for l in range(window.n + 1)]
     total_w = sum(widths)
     total_h = sum(heights)
+    if not (math.isfinite(total_w) and math.isfinite(total_h)):
+        raise ValueError(f"SVG size {_fmt(total_w)} by {_fmt(total_h)} is not finite")
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

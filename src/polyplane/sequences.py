@@ -12,7 +12,7 @@ from collections.abc import Iterable, Iterator
 
 from .numtheory import is_probable_prime, order_of_x
 from .numtheory import order_of_two as _order_of_two
-from .poly import ONE, Frozen, PatternPoly, Window, row_text
+from .poly import MAX_BOX_BITS, ONE, Frozen, PatternPoly, Window, row_text
 from .series import check_denominator, expand_rows
 
 MAX_HINT_DEGREE = 1024  # deg q bound for the period hint of poly_reciprocal_seq
@@ -116,11 +116,14 @@ def dseq(p: int, count: int) -> BitSeq:
     p must be an odd prime.  The bits come from one long division,
     floor(2^count / p).  The period hint is the multiplicative order
     of 2 mod p, which is the true period of the infinite expansion.
+    A count above MAX_BOX_BITS is refused with ValueError before the division.
     """
     if not _is_odd_prime(p):
         raise ValueError(f"{p} is not an odd prime")
     if count < 1:
         raise ValueError("count must be positive")
+    if count > MAX_BOX_BITS:
+        raise ValueError(f"sequence too long: {count} bits is over {MAX_BOX_BITS}")
     # bit k is binary digit k+1 of 1/p: 2^(k+1) = p*q + r with p odd gives q = r mod 2
     bits = format((1 << count) // p, f"0{count}b")
     return BitSeq(bits, period_hint=_order_of_two(p))

@@ -1,3 +1,4 @@
+import argparse
 import io
 import os
 import subprocess
@@ -34,6 +35,12 @@ def test_expand_size_flag_equivalent_to_grid(capsys):
 def test_expand_wrap_mode(capsys):
     assert run(["expand", "--expr", "1/x", "--grid", "2x2", "--mode", "wrap"]) == 0
     assert capsys.readouterr().out == "x^2\n"
+
+
+def test_render_refuses_an_svg_whose_size_is_not_finite(capsys):
+    assert run(["render", "--expr", "1", "--grid", "1x0", "--format", "svg", "--cell", "1e308"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "not finite" in err
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf"])
@@ -316,6 +323,16 @@ def test_repeated_runs_in_one_process_are_identical(capsysbinary):
 def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
     assert "expand" in capsys.readouterr().out
+
+
+def test_every_subcommand_has_a_handler_and_help(capsys):
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert len(commands) == 10
+    for name, sub in commands.items():
+        assert callable(sub.get_default("run")), name
+        assert run([name, "--help"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(f"usage: polyplane {name} ") and err == ""
 
 
 def test_encode_refuses_a_walk_too_long_to_build(capsys):

@@ -61,6 +61,16 @@ def test_tokenize_unknown_character_with_offset():
     assert err.value.pos == 1
 
 
+@pytest.mark.parametrize("text", ["x^\u00b2", "x^\u0663", "x^-\u0663", "\uff11"])
+def test_only_ascii_digits_are_digits(text):
+    # str.isdigit() holds for all four and int() reads three of them, but the
+    # language's digits are 0-9
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.message.startswith("unknown character")
+    assert err.value.pos == len(text) - 1
+
+
 def test_tokenize_skips_whitespace():
     assert kinds_and_values(" 1 + x ") == [("int", 1), ("op", "+"), ("var", "x")]
 

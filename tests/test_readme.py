@@ -1,4 +1,5 @@
-"""The README's command-line examples print what their comments say.
+"""The README's command-line examples print what their comments say, and
+its "Limits" table names every bound.
 
 In the README's "Command line" block, a ``polyplane ...`` line shows its
 output either in a trailing ``# ...`` comment or in the comment lines that
@@ -14,7 +15,8 @@ import pytest
 
 from polyplane.cli import run
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def examples():
@@ -49,3 +51,12 @@ def test_readme_example_prints_its_comment(argv, expected, capsys):
     assert run(argv) == 0
     out, err = capsys.readouterr()
     assert (out, err) == (expected, "")
+
+
+def test_the_limits_table_names_every_bound_and_no_other():
+    text = README.read_text(encoding="utf-8")
+    table = re.search(r"## Limits\n.*?\n(\|.*?)\n\n", text, re.S).group(1)
+    listed = {name for row in table.splitlines()[2:] for name in re.findall(r"MAX_\w+", row.split("|")[1])}
+    defined = {name for path in (ROOT / "src" / "polyplane").glob("*.py")
+               for name in re.findall(r"^(MAX_\w+) =", path.read_text(encoding="utf-8"), re.M)}
+    assert listed == defined

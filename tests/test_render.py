@@ -135,6 +135,13 @@ def test_svg_uniform_dimensions():
     assert text.count("<rect") == 0
 
 
+def test_svg_refuses_a_size_that_is_not_finite():
+    # each cell is finite, but two of them sum to inf
+    with pytest.raises(ValueError, match="not finite"):
+        render_svg(ZERO, Window(1, 0), RenderConfig(cell=1e308))
+    assert 'width="1e+308"' in render_svg(ZERO, Window(0, 0), RenderConfig(cell=1e308))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         RenderConfig(glyph_on="##")

@@ -7,7 +7,7 @@ from sympy import Poly, factorint, symbols
 
 from polyplane.dsl import parse_poly as P
 from polyplane.numtheory import _factor_degrees
-from polyplane.poly import PatternPoly
+from polyplane.poly import MAX_BOX_BITS, PatternPoly
 from polyplane.sequences import (
     MAX_HINT_DEGREE,
     BitSeq,
@@ -36,6 +36,12 @@ def test_dseq_rejects_non_primes():
             dseq(bad, 4)
     with pytest.raises(ValueError):
         dseq(19, 0)
+
+
+def test_dseq_refuses_a_count_over_the_box_bound():
+    # refused before the division, whose quotient and bit text would take over 300 MB
+    with pytest.raises(ValueError, match="sequence too long"):
+        dseq(7, MAX_BOX_BITS + 1)
 
 
 def test_dseq_refuses_pseudoprimes():
