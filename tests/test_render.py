@@ -200,19 +200,37 @@ def reference_svg(p, window, config):
     return "\n".join(lines) + "\n"
 
 
+def _reference_cases(rng):
+    # small random windows and patterns, cells up to three outside the window on every side
+    for _ in range(300):
+        w = Window(rng.randrange(0, 12), rng.randrange(0, 12))
+        yield w, PatternPoly(
+            (rng.randint(-3, w.m + 3), rng.randint(-3, w.n + 3)) for _ in range(rng.randrange(40))
+        )
+    # wide windows, so that rows cross the 64- and 256-bit widths
+    dense = ["1/(1+x)", "1/(1+x+y)", "1/((1+x)(1+y))", "1/(1+x+x^2+y)", "x^-7/(1+x+y^2)",
+             "1/(1+x+y^2)", "y^3/(1+x*y^2)"]  # the last two also leave rows empty
+    for _ in range(14):
+        w = Window(rng.randrange(0, 300), rng.randrange(0, 300) if rng.random() < 0.3 else rng.randrange(0, 24))
+        yield w, evaluate(parse(rng.choice(dense)), w)
+    for text in ("1/(1+x+y)", "1/((1+x)(1+y))"):
+        yield Window(299, 299), evaluate(parse(text), Window(299, 299))
+    for m, n in ((63, 2), (64, 3), (255, 1), (256, 2), (299, 5), (5, 299)):
+        w = Window(m, n)
+        yield w, PatternPoly.from_rows([(1 << m + 1) - 1] * (n + 1))  # every window cell lit
+        yield w, PatternPoly(  # sparse, with empty rows between lit ones
+            (rng.randint(-3, m + 3), rng.randrange(0, n + 1, 2)) for _ in range(rng.randrange(1, 60))
+        )
+
+
 def test_renderers_match_per_cell_references():
     rng = random.Random(71)
     glyphs = [("#", "."), ("1", "0"), ("0", "1"), ("@", " ")]
-    for _ in range(300):
-        w = Window(rng.randrange(0, 12), rng.randrange(0, 12))
-        # cells up to three outside the window on every side
-        p = PatternPoly(
-            (rng.randint(-3, w.m + 3), rng.randint(-3, w.n + 3)) for _ in range(rng.randrange(40))
-        )
+    for w, p in _reference_cases(rng):
         on, off = rng.choice(glyphs)
         perspective = rng.choice([None, Perspective(rng.uniform(0.2, 1), rng.uniform(0.2, 1))])
         cfg = RenderConfig(on, off, rng.choice(["top_left", "bottom_left"]),
-                           rng.choice([16.0, 10.0, 2.5]), perspective)
+                           rng.choice([16.0, 10.0, 2.5, 1e-05, 3e-07, 1.5e+17]), perspective)
         assert render_ascii(p, w, cfg) == reference_ascii(p, w, cfg)
         assert render_pbm(p, w) == reference_pbm(p, w)
         assert render_svg(p, w, cfg) == reference_svg(p, w, cfg)
