@@ -7,6 +7,7 @@ error.  Nothing is written to stdout on failure.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from functools import cache
 
@@ -21,16 +22,23 @@ from .sequences import BitSeq, dseq, poly_reciprocal_seq
 FORMATS = ("terms", "ascii", "pbm", "svg")
 
 
+def _int_arg(text: str) -> int:
+    # int(text) for ASCII digits only: int() also reads other scripts' digits and '_'
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")  # argparse's own text
+    return int(text)
+
+
 def _pair_arg(shape: str, sep: str, least: int, offset: int = 0):
     # an argparse type for two integers of at least `least` joined by sep, each less offset
     kind = "positive" if least else "nonnegative"
 
     def convert(text: str) -> tuple[int, int]:
         try:
-            a, b = (int(part) for part in text.lower().split(sep))
+            a, b = (_int_arg(part) for part in text.lower().split(sep))
             if min(a, b) >= least:
                 return a - offset, b - offset
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             pass
         raise argparse.ArgumentTypeError(f"expected {shape} with {kind} integers, got {text!r}")
 
@@ -138,25 +146,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     fold_cmd = sub.add_parser("map", help="fold a bit sequence into an array")
     fold_cmd.add_argument("--seq", required=True, type=_bits_arg)
-    fold_cmd.add_argument("--rows", required=True, type=int)
-    fold_cmd.add_argument("--cols", required=True, type=int)
+    fold_cmd.add_argument("--rows", required=True, type=_int_arg)
+    fold_cmd.add_argument("--cols", required=True, type=_int_arg)
     fold_cmd.add_argument("--scheme", required=True, choices=SCHEMES)
     fold_cmd.set_defaults(run=lambda args: f"{fold(args.seq, args.rows, args.cols, args.scheme)}\n")
 
     dseq_cmd = sub.add_parser("dseq", help="prime reciprocal bit sequence")
-    dseq_cmd.add_argument("--p", required=True, type=int, help="odd prime")
-    dseq_cmd.add_argument("--count", required=True, type=int)
+    dseq_cmd.add_argument("--p", required=True, type=_int_arg, help="odd prime")
+    dseq_cmd.add_argument("--count", required=True, type=_int_arg)
     dseq_cmd.set_defaults(run=lambda args: f"{dseq(args.p, args.count)}\n")
 
     lfsr = sub.add_parser("lfsr", help="shift-register sequence of 1/q(x)")
     lfsr.add_argument("--poly", required=True, help="univariate polynomial, e.g. '1+x+x^3'")
-    lfsr.add_argument("--count", required=True, type=int)
+    lfsr.add_argument("--count", required=True, type=_int_arg)
     lfsr.set_defaults(run=lambda args: f"{poly_reciprocal_seq(parse_poly(args.poly), args.count)}\n")
 
     enc = sub.add_parser("encode", help="polynomial to bit string")
     enc.add_argument("--poly", required=True)
     enc.add_argument("--ordering", choices=ORDERINGS, default="diagonal")
-    enc.add_argument("--length", type=int, default=None)
+    enc.add_argument("--length", type=_int_arg, default=None)
     enc.set_defaults(run=lambda args: f"{encode(parse_poly(args.poly), args.ordering, args.length)}\n")
 
     dec = sub.add_parser("decode", help="bit string to polynomial")

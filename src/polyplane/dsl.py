@@ -137,6 +137,7 @@ def _plain_sum(terms) -> PatternPoly:
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = tokenize(text)
         self.tokens.append(Token("end", None, len(text)))  # so that peek() always has a token
         self.k = 0
@@ -190,7 +191,7 @@ class _Parser:
     def atom(self) -> PatternPoly:
         tok = self.peek()
         if tok.kind == "int":
-            if tok.value != 1:
+            if tok.value != 1 or self.text[tok.pos] != "1":  # "01" has the value 1 too
                 self.fail("the only numeric literal is 1")
             self.advance()
             return ONE

@@ -18,11 +18,13 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterable, Iterator
 from functools import reduce
+from itertools import chain, compress, count, repeat
 
 from .numtheory import carryless_power, carryless_product
 
 Monomial = tuple  # an (i, j) exponent pair
 MAX_BOX_BITS = 1 << 28  # bound on a polynomial's box, in bits of storage
+BIT_VALUES = bytes.maketrans(b"01", b"\0\1")  # '0'/'1' text to 0/1 bytes
 
 
 def diag_key(mono: Monomial) -> tuple[int, int]:
@@ -31,17 +33,29 @@ def diag_key(mono: Monomial) -> tuple[int, int]:
     return (i + j, j)
 
 
-def set_bits(row: int) -> Iterator[int]:
-    """Indices of the set bits of a nonnegative int, lowest first."""
+def set_bits(row: int, start: int = 0) -> Iterator[int]:
+    """Indices of the set bits of a nonnegative int, lowest first, each plus start: one pass over
+    its 0/1 bytes, or, if under 1/32 of its bits are set, one lowest-bit clear per set bit, so that
+    1 + x^(2^27) builds no 2^27-byte text."""
+    if row.bit_count() * 32 < row.bit_length():
+        return _lowest_bits(row, start)
+    return compress(count(start), bit_flags(row, row.bit_length()))
+
+
+def _lowest_bits(row: int, start: int) -> Iterator[int]:
     while row:
-        low = row & -row
-        yield low.bit_length() - 1
-        row ^= low
+        yield start + (row & -row).bit_length() - 1
+        row &= row - 1  # clears the lowest set bit
 
 
 def row_text(row: int, width: int) -> str:
     """The '0'/'1' text of a packed row, bit 0 first, padded to width."""
     return format(row, f"0{width}b")[::-1]
+
+
+def bit_flags(row: int, width: int) -> bytes:
+    """The 0/1 bytes of a packed row, bit 0 first, padded to width."""
+    return row_text(row, width).encode().translate(BIT_VALUES)
 
 
 def term_text(mono: Monomial) -> str:
@@ -197,7 +211,8 @@ class PatternPoly(Frozen):
     def support(self) -> frozenset:
         """The monomials (i, j) with coefficient 1."""
         if self._support is None:
-            cells = ((self.x0 + i, j) for j, row in enumerate(self.rows, self.y0) for i in set_bits(row))
+            rows = enumerate(self.rows, self.y0)
+            cells = chain.from_iterable(zip(set_bits(row, self.x0), repeat(j)) for j, row in rows)
             object.__setattr__(self, "_support", frozenset(cells))
         return self._support
 

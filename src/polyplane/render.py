@@ -5,14 +5,16 @@ origin top_left the first output row is y = 0; bottom_left mirrors the
 rows.  PBM output is the plain-text P1 format, byte for byte.  SVG
 output is a flat list of rect elements, one per lit cell; a perspective
 config shrinks cell widths and heights geometrically along the axes.
+No renderer steps per cell: PBM fills one buffer by two slice assignments,
+and SVG makes a row's rects by one join of column texts and one replace.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from itertools import accumulate, compress
 
-from .poly import Frozen, PatternPoly, Window, row_text, set_bits
+from .poly import Frozen, PatternPoly, Window, bit_flags, row_text
 
 
 class Perspective(Frozen):
@@ -68,14 +70,11 @@ def render_ascii(p: PatternPoly, window: Window, config: RenderConfig = DEFAULT_
 
 def render_pbm(p: PatternPoly, window: Window) -> bytes:
     """Plain PBM (P1) bytes; 1 marks a pattern point, row 0 is y = 0."""
-    lines = ["P1", f"{window.width} {window.height}"]
     rows = _rows(p, window, DEFAULT_CONFIG)  # the default origin is top_left
-    lines += (" ".join(row_text(row, window.width)) for row in rows)
-    return ("\n".join(lines) + "\n").encode("ascii")
-
-
-def _fmt(value: float) -> str:
-    return format(value, "g")
+    body = bytearray(b" ") * (2 * window.width * window.height)  # "d d ... d\n" per row
+    body[::2] = "".join([row_text(row, window.width) for row in rows]).encode()
+    body[2 * window.width - 1 :: 2 * window.width] = b"\n" * window.height
+    return b"P1\n%d %d\n" % (window.width, window.height) + body
 
 
 def render_svg(p: PatternPoly, window: Window, config: RenderConfig = DEFAULT_CONFIG) -> str:
@@ -88,24 +87,22 @@ def render_svg(p: PatternPoly, window: Window, config: RenderConfig = DEFAULT_CO
     persp = config.perspective or Perspective()
     widths = [config.cell * persp.rx**k for k in range(window.m + 1)]
     heights = [config.cell * persp.ry**l for l in range(window.n + 1)]
-    total_w = sum(widths)
-    total_h = sum(heights)
+    total_w, total_h = sum(widths), sum(heights)
     if not (math.isfinite(total_w) and math.isfinite(total_h)):
-        raise ValueError(f"SVG size {_fmt(total_w)} by {_fmt(total_h)} is not finite")
+        raise ValueError(f"SVG size {total_w:g} by {total_h:g} is not finite")
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(total_w)}" height="{_fmt(total_h)}" '
-        f'viewBox="0 0 {_fmt(total_w)} {_fmt(total_h)}">',
+        f'width="{total_w:g}" height="{total_h:g}" viewBox="0 0 {total_w:g} {total_h:g}">',
     ]
-    # column k starts at widths[0] + ... + widths[k-1], summed left to right
-    columns = [(_fmt(x), _fmt(w)) for x, w in zip(accumulate(widths, initial=0.0), widths)]
+    # column k starts at widths[0] + ... + widths[k-1], summed left to right; "\0" stands for y
+    columns = [f'{x:g}" y="\0" width="{w:g}' for x, w in zip(accumulate(widths, initial=0.0), widths)]
     y = 0.0
     for height, row in zip(heights, _rows(p, window, config)):
-        top, tall = _fmt(y), _fmt(height)
-        for k in set_bits(row):
-            x, w = columns[k]
-            lines.append(f'<rect x="{x}" y="{top}" width="{w}" height="{tall}" fill="#000"/>')
+        if row:
+            end = f'" height="{height:g}" fill="#000"/>'
+            rects = f'{end}\n<rect x="'.join(compress(columns, bit_flags(row, window.width)))
+            lines.append(f'<rect x="{rects}{end}'.replace("\0", f"{y:g}"))
         y += height
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

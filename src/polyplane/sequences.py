@@ -12,11 +12,10 @@ from collections.abc import Iterable, Iterator
 
 from .numtheory import is_probable_prime, order_of_x
 from .numtheory import order_of_two as _order_of_two
-from .poly import MAX_BOX_BITS, ONE, Frozen, PatternPoly, Window, row_text
+from .poly import BIT_VALUES, MAX_BOX_BITS, ONE, Frozen, PatternPoly, Window, row_text
 from .series import check_denominator, expand_rows
 
 MAX_HINT_DEGREE = 1024  # deg q bound for the period hint of poly_reciprocal_seq
-_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
 def is_bit_text(value) -> bool:
@@ -26,7 +25,7 @@ def is_bit_text(value) -> bool:
 
 def bit_tuple(text: str) -> tuple:
     """The ints of a '0'/'1' str."""
-    return tuple(text.encode().translate(_BIT_VALUES))
+    return tuple(text.encode().translate(BIT_VALUES))
 
 
 def bit_text(values: tuple, what: str) -> str:

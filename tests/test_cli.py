@@ -271,6 +271,44 @@ def test_usage_errors_exit_2(capsys):
     assert out == ""  # usage errors never print to stdout
 
 
+@pytest.mark.parametrize("argv, shape", [
+    (["expand", "--expr", "1", "--grid"], "MxN with nonnegative integers"),
+    (["expand", "--expr", "1", "--size"], "WxH with positive integers"),
+    (["order", "--element", "1+x", "--mod"], "M,N with positive integers"),
+])
+def test_pair_flags_read_ascii_digits_only(capsys, argv, shape):
+    sep = "," if argv[-1] == "--mod" else "x"
+    for value in (f"\u0663{sep}1_0", f"3{sep}1_0", f"\uff13{sep}4", "abc", f"3{sep}"):
+        assert run([*argv, value]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"error: argument {argv[-1]}: expected {shape}, got {value!r}\n")
+    assert run([*argv, f" 3 {sep} 4"]) == 0  # whitespace around a number is read, as int() reads it
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["map", "--seq", "0110", "--rows", "2", "--cols", "2", "--scheme", "row_major"], "--rows"),
+    (["map", "--seq", "0110", "--rows", "2", "--cols", "2", "--scheme", "row_major"], "--cols"),
+    (["dseq", "--p", "19", "--count", "18"], "--p"),
+    (["dseq", "--p", "19", "--count", "18"], "--count"),
+    (["lfsr", "--poly", "1+x+x^3", "--count", "7"], "--count"),
+    (["encode", "--poly", "1+x", "--length", "5"], "--length"),
+])
+def test_integer_flags_read_ascii_digits_only(capsys, argv, flag):
+    k = argv.index(flag) + 1
+    assert run(argv) == 0
+    expected = capsys.readouterr().out
+    assert run([*argv[:k], f" +{argv[k]} ", *argv[k + 1:]]) == 0
+    assert capsys.readouterr().out == expected
+    digits = argv[k].translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                                          "\u0665\u0666\u0667\u0668\u0669"))
+    for value in (digits, "1_" + argv[k], "abc", "1.0", ""):
+        assert run([*argv[:k], value, *argv[k + 1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n")
+
+
 def test_unknown_flag_exits_2(capsys):
     assert run(["dseq", "--p", "19", "--count", "18", "--frainbow", "1"]) == 2
     out, err = capsys.readouterr()

@@ -114,6 +114,16 @@ def test_parse_syntax_errors_carry_offsets():
         assert err.value.pos == offset, text
 
 
+@pytest.mark.parametrize("text, offset", [("001+x", 0), ("x+01", 2), ("x*(1+00)", 5), ("0001", 0)])
+def test_the_only_literal_is_the_text_1(text, offset):
+    # leading zeros do not make 1 out of another literal; exponents keep them (x^007 is x^7)
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.message == "the only numeric literal is 1"
+    assert err.value.pos == offset
+    assert parse_poly("x^007 + 1") == parse_poly("1+x^7")
+
+
 def test_parse_zero_denominator():
     with pytest.raises(ParseError, match="zero"):
         parse("1/(x+x)")

@@ -1,10 +1,12 @@
 import random
+import time
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyplane.dsl import parse_poly as P
-from polyplane.poly import ONE, X, Y, ZERO, PatternPoly, Window
+from polyplane.poly import ONE, X, Y, ZERO, PatternPoly, Window, bit_flags, set_bits
 
 
 def rand_poly(rng, lo=0, hi=3, max_terms=5):
@@ -160,6 +162,43 @@ def test_poly_hashable_and_immutable():
     assert hash(a) == hash(P("x+1"))
     with pytest.raises(AttributeError):
         a.support = frozenset()
+
+
+def reference_set_bits(row, start=0):
+    return [start + i for i in range(row.bit_length()) if row >> i & 1]
+
+
+def test_set_bits_fixed_rows():
+    rng = random.Random(61)
+    rows = [0, 1, 1 << 63, 1 << 64, 1 << 255 | 1 << 256, (1 << 64) - 1, (1 << 300) - 1, (1 << 1000) - 2]
+    rows += [1 | 1 << 5000, sum(1 << rng.randrange(10_000) for _ in range(40))]  # sparse and wide
+    rows += [rng.getrandbits(rng.randrange(1, 2000)) for _ in range(50)]
+    rows += [rng.getrandbits(300) & rng.getrandbits(300) & rng.getrandbits(300) for _ in range(20)]
+    for row in rows:
+        for start in (0, 7, -3):
+            assert list(set_bits(row, start)) == reference_set_bits(row, start)
+    assert list(set_bits(0b1011)) == [0, 1, 3]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=(1 << 700) - 1), st.integers(min_value=-1000, max_value=1000))
+def test_set_bits_property(row, start):
+    assert list(set_bits(row, start)) == reference_set_bits(row, start)
+
+
+def test_bit_flags_are_the_row_bits_padded():
+    assert bit_flags(0b1101, 6) == b"\1\0\1\1\0\0"
+    assert bit_flags(0, 3) == b"\0\0\0"
+
+
+def test_support_of_a_wide_dense_row_is_fast():
+    p = PatternPoly.from_rows([(1 << 200_000) - 1])
+    start = time.perf_counter()
+    support = p.support
+    assert time.perf_counter() - start < 0.5
+    assert len(support) == 200_000 and (199_999, 0) in support and (200_000, 0) not in support
+    sparse = PatternPoly.from_rows([0, 1 | 1 << 2**27])  # builds no 2^27-byte text
+    assert sparse.support == {(0, 1), (2**27, 1)}
 
 
 def test_values_too_large_to_store_are_refused():
