@@ -34,10 +34,10 @@ def diag_key(mono: Monomial) -> tuple[int, int]:
 
 
 def set_bits(row: int, start: int = 0) -> Iterator[int]:
-    """Indices of the set bits of a nonnegative int, lowest first, each plus start: one pass over
-    its 0/1 bytes, or, if under 1/32 of its bits are set, one lowest-bit clear per set bit, so that
-    1 + x^(2^27) builds no 2^27-byte text."""
-    if row.bit_count() * 32 < row.bit_length():
+    """Indices of the set bits of a nonnegative int, lowest first, each plus start, in time linear
+    in its width: one pass over its 0/1 bytes, or one lowest-bit clear per set bit if fewer than 256
+    and under 1/8 of its bits are set (so 1 + x^(2^27) builds no 2^27-byte text)."""
+    if row.bit_count() < min(row.bit_length() // 8, 256):
         return _lowest_bits(row, start)
     return compress(count(start), bit_flags(row, row.bit_length()))
 

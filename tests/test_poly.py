@@ -172,6 +172,7 @@ def test_set_bits_fixed_rows():
     rng = random.Random(61)
     rows = [0, 1, 1 << 63, 1 << 64, 1 << 255 | 1 << 256, (1 << 64) - 1, (1 << 300) - 1, (1 << 1000) - 2]
     rows += [1 | 1 << 5000, sum(1 << rng.randrange(10_000) for _ in range(40))]  # sparse and wide
+    rows += [sum(1 << rng.randrange(100_000) for _ in range(400))]  # wide, with over 256 set bits
     rows += [rng.getrandbits(rng.randrange(1, 2000)) for _ in range(50)]
     rows += [rng.getrandbits(300) & rng.getrandbits(300) & rng.getrandbits(300) for _ in range(20)]
     for row in rows:
