@@ -9,6 +9,7 @@ every torus with m*n <= 12.
 
 from itertools import product
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
@@ -40,6 +41,22 @@ def test_add_matches_sympy(a, b):
 def test_mul_matches_sympy(a, b):
     product_ = PatternPoly(a) * PatternPoly(b)
     assert product_.support == from_sympy(to_sympy(a) * to_sympy(b), 2 * LOW)
+
+
+@given(st.tuples(st.integers(-LOW, LOW), st.integers(-LOW, LOW)), supports)
+def test_mul_by_one_cell_matches_sympy(mono, a):
+    one = PatternPoly.monomial(*mono)
+    assert one == PatternPoly([mono]) and hash(one) == hash(PatternPoly([mono])) and one.support == {mono}
+    want = from_sympy(to_sympy({mono}) * to_sympy(a), 2 * LOW)
+    assert (one * PatternPoly(a)).support == want
+    assert (PatternPoly(a) * one).support == want
+    assert (one * one).support == {(2 * mono[0], 2 * mono[1])}
+
+
+def test_monomial_exponents_must_be_integers():
+    for bad in ((1.5, 0), (0, 2.0), ("1", 0)):
+        with pytest.raises(TypeError):
+            PatternPoly.monomial(*bad)
 
 
 @settings(deadline=None, max_examples=50)

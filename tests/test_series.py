@@ -245,13 +245,46 @@ def reference_expand(num, den, window):
     return PatternPoly(cells)
 
 
+def random_term(rng, case):
+    """A random admissible term of one of the CASES, and a window for it."""
+    lower_x, lower_count, num_x, num_y, num_count, side = CASES[case]
+    den = {(0, 0)}
+    den |= {(rng.randint(1, 6), 0) for _ in range(rng.randrange(0, 4))}
+    den |= {(rng.randint(*lower_x), rng.randint(1, 3)) for _ in range(rng.randrange(*lower_count))}
+    num = {(rng.randint(*num_x), rng.randint(*num_y)) for _ in range(rng.randrange(*num_count))}
+    window = Window(rng.randrange(side // 4 if case != "small" else 0, side + 1), rng.randrange(0, side + 1))
+    return RationalTerm(PatternPoly(num), PatternPoly(den)), window
+
+
+# lower-tap x-steps and count range, numerator x- and y-exponents and term count range, window side
+CASES = {
+    "small": ((-3, 3), (0, 3), (-4, 6), (-3, 6), (0, 4), 15),
+    # x-steps that pass the window: the rows die after a few steps, and the expansion stops
+    "rows_die": ((8, 45), (1, 3), (-6, 10), (-3, 20), (1, 5), 40),
+    # only nonnegative lower taps: the band gets no margin, wherever the numerator sits
+    "numerators_far_left": ((0, 4), (1, 3), (-70, -30), (-3, 20), (1, 5), 40),
+    "numerators_far_right": ((0, 4), (1, 3), (10, 40), (-3, 20), (1, 5), 40),
+    "laurent_wide": ((-3, 3), (0, 3), (-20, 40), (-3, 20), (1, 5), 40),
+}
+
+
 def test_expansion_matches_cell_by_cell_reference():
-    rng = random.Random(97)
-    for _ in range(150):
-        den = {(0, 0)}
-        den |= {(rng.randint(1, 6), 0) for _ in range(rng.randrange(0, 4))}
-        den |= {(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randrange(0, 3))}
-        num = {(rng.randint(-4, 6), rng.randint(-3, 6)) for _ in range(rng.randrange(0, 4))}
-        w = Window(rng.randrange(0, 16), rng.randrange(0, 16))
-        term = RationalTerm(PatternPoly(num), PatternPoly(den))
-        assert eval_term(term, w) == reference_expand(term.numerator, term.denominator, w)
+    for case in CASES:
+        rng = random.Random(97 if case == "small" else f"97-{case}")
+        for _ in range(150 if case == "small" else 40):
+            term, w = random_term(rng, case)
+            assert eval_term(term, w) == reference_expand(term.numerator, term.denominator, w), (case, term, w)
+
+
+def test_eval_sum_is_the_sum_of_the_references():
+    rng = random.Random(101)
+    for _ in range(30):
+        case = rng.choice(list(CASES))
+        terms, windows = zip(*[random_term(rng, case) for _ in range(rng.randrange(2, 5))])
+        terms, w = list(terms), windows[0]
+        if rng.random() < 0.3:
+            terms.append(terms[0])  # a repeated term cancels
+        want = set()
+        for t in terms:
+            want ^= reference_expand(t.numerator, t.denominator, w).support
+        assert eval_sum(terms, w) == PatternPoly(want), (terms, w)
