@@ -28,12 +28,12 @@ class BitGrid(Frozen):
     __slots__ = ("_lines", "_cells")
 
     def __init__(self, rows: Iterable[Iterable]):
-        lines = [row if is_bit_text(row) else tuple(int(b) for b in row) for row in rows]
+        lines = [row if isinstance(row, str) else tuple(int(b) for b in row) for row in rows]
         if not lines or not lines[0]:
             raise ValueError("grid must have at least one row and one column")
         if any(len(line) != len(lines[0]) for line in lines):
             raise ValueError("grid rows must all have the same length")
-        lines = tuple(line if isinstance(line, str) else bit_text(line, "cells") for line in lines)
+        lines = tuple(line if is_bit_text(line) else bit_text(line, "cells") for line in lines)
         object.__setattr__(self, "_lines", lines)
         object.__setattr__(self, "_cells", None)
 

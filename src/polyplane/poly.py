@@ -24,6 +24,7 @@ from .numtheory import carryless_power, carryless_product
 
 Monomial = tuple  # an (i, j) exponent pair
 MAX_BOX_BITS = 1 << 28  # bound on a polynomial's box, in bits of storage
+PIECE_BITS = 1 << 16  # set_bits reads a wider row in pieces of this many bits
 BIT_VALUES = bytes.maketrans(b"01", b"\0\1")  # '0'/'1' text to 0/1 bytes
 
 
@@ -36,10 +37,16 @@ def diag_key(mono: Monomial) -> tuple[int, int]:
 def set_bits(row: int, start: int = 0) -> Iterator[int]:
     """Indices of the set bits of a nonnegative int, lowest first, each plus start, in time linear
     in its width: one pass over its 0/1 bytes, or one lowest-bit clear per set bit if fewer than 256
-    and under 1/8 of its bits are set (so 1 + x^(2^27) builds no 2^27-byte text)."""
-    if row.bit_count() < min(row.bit_length() // 8, 256):
+    and under 1/8 of its bits are set.  A row wider than PIECE_BITS is read in pieces of that many
+    bits, and its zero pieces are skipped (so 1 + x^(2^27) builds no 2^27-byte text)."""
+    width = row.bit_length()
+    if width > PIECE_BITS:
+        data, size = row.to_bytes((width + 7) // 8, "little"), PIECE_BITS // 8
+        pieces = ((k, int.from_bytes(data[k : k + size], "little")) for k in range(0, len(data), size))
+        return chain.from_iterable(set_bits(piece, start + 8 * k) for k, piece in pieces if piece)
+    if row.bit_count() < min(width // 8, 256):
         return _lowest_bits(row, start)
-    return compress(count(start), bit_flags(row, row.bit_length()))
+    return compress(count(start), bit_flags(row, width))
 
 
 def _lowest_bits(row: int, start: int) -> Iterator[int]:
@@ -137,7 +144,7 @@ class Window(Frozen):
         return self.n + 1
 
 
-def _check_box(width: int, height: int) -> None:
+def check_box(width: int, height: int) -> None:
     # Refuse before allocating: a row costs at least a machine word, and a
     # product is packed into one int the size of its box.
     if height * max(width, 64) > MAX_BOX_BITS:
@@ -173,7 +180,7 @@ class PatternPoly(Frozen):
             xs, ys = zip(*cells)
             x0, y0 = min(xs), min(ys)
             cols, height = max(xs) - x0 + 1, max(ys) - y0 + 1
-            _check_box(cols, height)
+            check_box(cols, height)
             rows = [0] * height
             for i, j in cells:
                 rows[j - y0] |= 1 << i - x0
@@ -202,7 +209,7 @@ class PatternPoly(Frozen):
     @classmethod
     def monomial(cls, i: int, j: int) -> "PatternPoly":
         """The single-term polynomial x^i y^j."""
-        return cls(((i, j),))
+        return _init(object.__new__(cls), operator.index(i), operator.index(j), (1,), 1)
 
     def __reduce__(self):
         return PatternPoly._make, (self.x0, self.y0, self.rows)
@@ -227,7 +234,7 @@ class PatternPoly(Frozen):
             return other
         x0, y0 = min(self.x0, other.x0), min(self.y0, other.y0)
         height = max(self.y0 + len(self.rows), other.y0 + len(other.rows)) - y0
-        _check_box(max(self.x0 + self._cols, other.x0 + other._cols) - x0, height)
+        check_box(max(self.x0 + self._cols, other.x0 + other._cols) - x0, height)
         rows = [0] * height
         for p in (self, other):
             shift = p.x0 - x0
@@ -245,9 +252,11 @@ class PatternPoly(Frozen):
             return NotImplemented
         if not self._cols or not other._cols:
             return ZERO
+        if self.rows == (1,) or other.rows == (1,):  # one cell: a translation
+            return other.shift(self.x0, self.y0) if self.rows == (1,) else self.shift(other.x0, other.y0)
         width = self._cols + other._cols - 1
         height = len(self.rows) + len(other.rows) - 1
-        _check_box(width, height)
+        check_box(width, height)
         size = (width + 7) // 8  # bytes per packed row
         product = carryless_product(_pack(self.rows, size), _pack(other.rows, size))
         return PatternPoly._make(self.x0 + other.x0, self.y0 + other.y0, _unpack(product, size, height))
@@ -260,7 +269,7 @@ class PatternPoly(Frozen):
         if not exponent or not self._cols:
             return ZERO if exponent else ONE
         width, height = exponent * (self._cols - 1) + 1, exponent * (len(self.rows) - 1) + 1
-        _check_box(width, height)
+        check_box(width, height)
         size = (width + 7) // 8
         power = carryless_power(_pack(self.rows, size), exponent, lambda u: u)
         return PatternPoly._make(exponent * self.x0, exponent * self.y0, _unpack(power, size, height))

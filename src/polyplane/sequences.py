@@ -28,11 +28,13 @@ def bit_tuple(text: str) -> tuple:
     return tuple(text.encode().translate(BIT_VALUES))
 
 
-def bit_text(values: tuple, what: str) -> str:
-    """The '0'/'1' str of a tuple of ints; ValueError unless each is 0 or 1."""
-    if not set(values) <= {0, 1}:
+def bit_text(values, what: str) -> str:
+    """'0'/'1' text as given, or that of an iterable of ints 0 and 1; ValueError for anything else."""
+    if not isinstance(values, str) and set(values := tuple(int(b) for b in values)) <= {0, 1}:
+        return "".join(map(str, values))
+    if not is_bit_text(values):  # int() would read the digits of every script
         raise ValueError(f"{what} must be 0 or 1")
-    return "".join(map(str, values))
+    return values
 
 
 class BitSeq(Frozen):
@@ -45,7 +47,7 @@ class BitSeq(Frozen):
     __slots__ = ("_text", "period_hint", "_bits")
 
     def __init__(self, bits: Iterable, period_hint: int | None = None):
-        text = bits if is_bit_text(bits) else bit_text(tuple(int(b) for b in bits), "bits")
+        text = bits if is_bit_text(bits) else bit_text(bits, "bits")
         if period_hint is not None:
             if period_hint < 1:
                 raise ValueError("period hint must be positive")

@@ -5,16 +5,16 @@ is 1 and every other coefficient is the GF(2) sum of earlier coefficients
 selected by the non-constant terms of q.  "Earlier" is the (y, then x)
 grading, which is why a denominator is admissible only when it has a
 constant term and every other term (a, b) satisfies b > 0, or b = 0 with
-a > 0.  Laurent x-terms such as x^-1*y reach rightward into previous
-rows, so rows are computed on a widened band; the band margins below
-guarantee that every coefficient inside the window is exact.
+a > 0.  Only Laurent x-terms such as x^-1*y reach rightward into previous
+rows, so rows are computed on a band widened by them alone; the band
+margins below guarantee that every coefficient inside the window is exact.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .poly import MAX_BOX_BITS, ONE, ZERO, Frozen, PatternPoly, Window, term_text
+from .poly import MAX_BOX_BITS, ONE, Frozen, PatternPoly, Window, check_box, term_text
 
 
 def check_denominator(q: PatternPoly) -> None:
@@ -47,12 +47,14 @@ class RationalTerm(Frozen):
 
 
 def expand_rows(num: PatternPoly, den: PatternPoly, window: Window) -> list[int]:
-    """Window-exact rows of num * (1/den) for admissible den: bit i of row j is cell (i, j)."""
+    """Window-exact rows of num * (1/den) for admissible den: bit i of row j is cell (i, j).
+    The list stops soon after the last nonzero row; the rows past its end are zero."""
     n = window.n
-    out = [0] * (n + 1)
+    out = []
     row_taps = [a for a, b in den.support if b == 0 and a > 0]
     lower_taps = [(a, b) for a, b in den.support if b > 0]
-    reach = max((abs(a) for a, _ in lower_taps), default=0)
+    # Only a tap x^a y^b with a < 0 reads columns right of the one it writes.
+    reach = max((-a for a, _ in lower_taps if a < 0), default=0)
 
     # Series row j has no cell left of column -j*reach, so a numerator term
     # x^u y^v reaches the window only if v <= n and u - (n - v)*reach <= m.
@@ -61,9 +63,12 @@ def expand_rows(num: PatternPoly, den: PatternPoly, window: Window) -> list[int]
         return out
     xs = [u for u, _ in shifts]
     depth = n - min(v for _, v in shifts)  # deepest series row any numerator shift can use
+    top = max(v for _, v in shifts)
+    most = MAX_BOX_BITS // max(window.width, 64)  # window rows check_box lets the expansion write
 
-    # Needed series columns are the window columns shifted by the numerator;
-    # each row step may consult `reach` extra columns on either side.
+    # Needed series columns are the window columns shifted by the numerator. The series has no
+    # cell left of the band, and right of them the band holds the `reach` columns per row step
+    # that the taps with a < 0 read, so every needed column is exact.
     lo = min(0, -max(xs)) - depth * reach
     hi = max(0, window.m - min(xs)) + depth * reach
     width = hi - lo + 1
@@ -78,12 +83,18 @@ def expand_rows(num: PatternPoly, den: PatternPoly, window: Window) -> list[int]
     shifts = [(v, -(u + lo)) for u, v in shifts]
 
     rows = [0] * kept  # series row j is rows[j % kept]
+    grow_at = -top  # the first row j whose window row j + top is not in out yet
     for j in range(depth + 1):
         acc = (1 << -lo) if j == 0 else 0  # seed: coefficient 1 at (0, 0)
         for a, b in lower_taps:  # rows[(j - b) % kept] is still 0 while j < b
             src = rows[(j - b) % kept]
             acc ^= (src << a) if a >= 0 else (src >> -a)
         acc &= mask
+        if not acc:  # a zero row has nothing to resolve within it
+            rows[j % kept] = 0
+            if any(rows):
+                continue
+            break  # rows j - kept + 1 .. j are zero, so every later row is too
         # With T the in-row taps, the row is acc / (1 + T), and over GF(2)
         # 1 / (1 + T) = prod_k (1 + T(x^(2^k))) mod x^width; rounds[k] holds the exponents of T(x^(2^k)).
         for taps in rounds:
@@ -92,9 +103,14 @@ def expand_rows(num: PatternPoly, den: PatternPoly, window: Window) -> list[int]
                 term ^= acc << a
             acc = (acc ^ term) & mask
         rows[j % kept] = acc
+        if j >= grow_at:  # make room for this row's window rows: double the list, 1024 rows at first
+            check_box(window.width, min(j + top, n) + 1)
+            out += [0] * (min(max(j + top + 1, 2 * len(out), 1024), n + 1, most) - len(out))
+            grow_at = len(out) - top if len(out) <= n else depth + 1
         for v, right in shifts:
             if 0 <= j + v <= n:
                 out[j + v] ^= acc >> right & keep
+    del out[j + top + 1 :]  # rows no live series row reached
     return out
 
 
@@ -111,8 +127,11 @@ def eval_term(term: RationalTerm, window: Window) -> PatternPoly:
 
 
 def eval_sum(terms: Iterable[RationalTerm], window: Window) -> PatternPoly:
-    """GF(2) sum of the expansions of all terms."""
-    acc = ZERO
+    """GF(2) sum of the expansions of all terms, added row by row into one buffer."""
+    out = []
     for term in terms:
-        acc = acc + eval_term(term, window)
-    return acc
+        p = eval_term(term, window)  # its cells lie in the window: x0, y0 >= 0
+        out += [0] * (p.y0 + len(p.rows) - len(out))
+        for j, row in enumerate(p.rows, p.y0):
+            out[j] ^= row << p.x0
+    return PatternPoly.from_rows(out)

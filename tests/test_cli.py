@@ -194,10 +194,9 @@ def test_a_pattern_too_large_to_store_is_a_domain_error(capsys):
     assert "too large" in err
 
 
-def test_a_series_band_too_large_to_store_is_a_domain_error():
-    # the term reaches the window, so its band would span 10^11 columns; it is
-    # refused before any row is built (the address-space cap turns a regression
-    # into a quick MemoryError instead of a machine-wide allocation)
+def run_capped(argv: list[str]) -> tuple[subprocess.CompletedProcess, float]:
+    """The CLI in a child process whose address space is capped at 1 GB, and its wall time; the cap
+    turns an allocation past it into a quick MemoryError instead of a machine-wide one."""
     import resource
 
     def cap_memory():
@@ -206,19 +205,34 @@ def test_a_series_band_too_large_to_store_is_a_domain_error():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "polyplane", "expand", "--expr", "x^-100000000000/(1+x)",
-                           "--grid", "1x1"], capture_output=True, text=True, env=env, timeout=60,
-                          preexec_fn=cap_memory)
-    assert time.perf_counter() - start < 1.0
+    done = subprocess.run([sys.executable, "-m", "polyplane", *argv], capture_output=True, text=True,
+                          env=env, timeout=60, preexec_fn=cap_memory)
+    return done, time.perf_counter() - start
+
+
+def test_a_series_band_too_large_to_store_is_a_domain_error():
+    # the term reaches the window, so its band would span 10^11 columns; it is
+    # refused before any row is built
+    done, seconds = run_capped(["expand", "--expr", "x^-100000000000/(1+x)", "--grid", "1x1"])
+    assert seconds < 1.0
     assert done.returncode == 1
     assert done.stdout == ""
     assert done.stderr.startswith("error:") and "too large" in done.stderr
 
 
+def test_a_tall_window_writes_only_its_live_rows():
+    # the expansion stops at its first dead series rows and writes the window
+    # rows up to them only: a list of all 400,000,001 rows would take 3.2 GB
+    for expr, want in (("1", "1\n"), ("y^3/(1+x+x^2)", "y^3+x*y^3\n"), ("x/(1+x^9*y)", "x\n")):
+        done, seconds = run_capped(["expand", "--expr", expr, "--grid", "1x400000000"])
+        assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
+        assert seconds < 2.0
+
+
 def test_a_large_window_whose_band_keeps_few_rows_still_expands(capsys):
     # the band bound counts the rows an expansion keeps, not its rows times
     # its columns: a polynomial keeps one row of 20,001 bits, 1/(1+x^5*y) two
-    # of 55,001, though the 20001x20001 and 55001x5001 boxes are over 2^28 bits
+    # of 5,001, though the 20001x20001 and 5001x5001 boxes are over 2^28 bits
     assert run(["expand", "--expr", "1", "--grid", "20000x20000", "--format", "terms"]) == 0
     assert capsys.readouterr() == ("1\n", "")
     assert run(["expand", "--expr", "1/(1+x^5*y)", "--grid", "5000x5000", "--format", "terms"]) == 0
@@ -307,6 +321,22 @@ def test_integer_flags_read_ascii_digits_only(capsys, argv, flag):
         out, err = capsys.readouterr()
         assert out == ""
         assert err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["decode", "--bits", "101"], "--bits"),
+    (["map", "--seq", "101", "--rows", "1", "--cols", "3", "--scheme", "row_major"], "--seq"),
+])
+def test_bit_flags_read_ascii_0_and_1_only(capsys, argv, flag):
+    k = argv.index(flag) + 1
+    assert run(argv) == 0
+    assert capsys.readouterr().out in ("1+y\n", "101\n")
+    # a fullwidth one and an Arabic-Indic zero are digits to int(), but not bits
+    for value in ("\uff11\u06601", "1a", "1 0", "+1", "12"):
+        assert run([*argv[:k], value, *argv[k + 1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"error: argument {flag}: bits must be 0 or 1\n")
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -1,12 +1,13 @@
 import random
 import time
+import tracemalloc
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyplane.dsl import parse_poly as P
-from polyplane.poly import ONE, X, Y, ZERO, PatternPoly, Window, bit_flags, set_bits
+from polyplane.poly import PIECE_BITS, ONE, X, Y, ZERO, PatternPoly, Window, bit_flags, set_bits
 
 
 def rand_poly(rng, lo=0, hi=3, max_terms=5):
@@ -179,6 +180,35 @@ def test_set_bits_fixed_rows():
         for start in (0, 7, -3):
             assert list(set_bits(row, start)) == reference_set_bits(row, start)
     assert list(set_bits(0b1011)) == [0, 1, 3]
+
+
+def test_set_bits_of_rows_wider_than_a_piece():
+    rng = random.Random(67)
+    dense = rng.getrandbits(2 * PIECE_BITS + 13) | 1 << 2 * PIECE_BITS + 12
+    rows = [1 << PIECE_BITS, 1 << PIECE_BITS | 1 << PIECE_BITS - 1,  # the first piece zero; a boundary
+            dense & ~((1 << 2 * PIECE_BITS) - (1 << PIECE_BITS)),  # dense pieces around a zero one
+            sum(1 << rng.randrange(2 * PIECE_BITS + 100) for _ in range(300))]  # sparse pieces
+    for row in rows:
+        want = reference_set_bits(row)
+        for start in (0, 7, -3):
+            assert list(set_bits(row, start)) == [start + i for i in want]
+
+
+def test_set_bits_of_a_wide_sparse_row_reads_its_pieces_only():
+    # 2^24 bits, 301 of them set: a pass over every position would build 16 MB of 0/1 bytes
+    rng = random.Random(71)
+    want = sorted({rng.randrange(2**24 - 1) for _ in range(300)} | {2**24 - 1})
+    row = sum(1 << i for i in want)
+    start = time.perf_counter()
+    assert list(set_bits(row)) == want
+    assert time.perf_counter() - start < 0.05
+    tracemalloc.start()
+    try:
+        assert list(set_bits(row, -5)) == [i - 5 for i in want]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 @settings(max_examples=300, deadline=None)

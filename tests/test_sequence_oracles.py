@@ -154,12 +154,15 @@ def test_bitseq_hint_check_matches_the_loop(bits, hint, as_text):
 
 
 def test_bitseq_errors_match():
+    # text is 0/1 text or refused whole: int() would read a fullwidth "１" as 1 and an Arabic-Indic "٠" as 0
     for bad, message in (("0102", "bits must be 0 or 1"), ([0, 2], "bits must be 0 or 1"),
-                         ("01a", "invalid literal"), ("0 1", "invalid literal")):
+                         ("01a", "bits must be 0 or 1"), ("0 1", "bits must be 0 or 1"),
+                         ("\uff11\u06601", "bits must be 0 or 1"), ([0, "a"], "invalid literal")):
         with pytest.raises(ValueError, match=message):
             BitSeq(bad)
     for bad, message in (([], "at least one"), ([[0, 1], [1]], "same length"), ([[0, 2]], "0 or 1"),
-                         (["01", "1"], "same length"), (["0a"], "invalid literal")):
+                         (["01", "1"], "same length"), (["0a"], "cells must be 0 or 1"),
+                         (["01", "\uff110"], "cells must be 0 or 1")):
         with pytest.raises(ValueError, match=message):
             BitGrid(bad)
 

@@ -8,12 +8,14 @@ recurrence under test.
 
 import math
 import random
+import time
 
 import pytest
 
 from polyplane.dsl import parse_poly as P
 from polyplane.poly import ONE, ZERO, PatternPoly, Window
-from polyplane.series import RationalTerm, check_denominator, eval_sum, eval_term, reciprocal
+from polyplane import poly, series
+from polyplane.series import RationalTerm, check_denominator, eval_sum, eval_term, expand_rows, reciprocal
 
 
 def binom_parity(n, k):
@@ -205,6 +207,28 @@ def test_zero_numerator_expands_to_zero():
 
 def test_numerator_above_window_expands_to_zero():
     assert eval_term(RationalTerm(P("y^9"), P("1+x")), Window(4, 3)) == ZERO
+
+
+def test_expansion_stops_at_its_dead_rows():
+    # y^14/(1+x+x^2) has one live series row: a million window rows cost no more than fifteen
+    term = RationalTerm(P("y^14"), P("1+x+x^2"))
+    start = time.perf_counter()
+    got = eval_term(term, Window(255, 10**6))
+    assert time.perf_counter() - start < 0.1
+    assert got == eval_term(term, Window(255, 14)) and len(got) == 171
+    rows = expand_rows(P("x^2"), P("1+x^40*y"), Window(30, 10**6))  # row 1 is past the window
+    assert rows[0] == 1 << 2 and not any(rows[1:]) and len(rows) <= 3
+
+
+def test_the_window_rows_an_expansion_writes_are_bounded(monkeypatch):
+    # rows written, each counted as at least 64 bits, are bounded like the box of a PatternPoly
+    monkeypatch.setattr(poly, "MAX_BOX_BITS", 64 * 1000)
+    monkeypatch.setattr(series, "MAX_BOX_BITS", 64 * 1000)
+    assert eval_term(RationalTerm(P("y^999"), P("1+x")), Window(3, 10**9)) == P("(1+x+x^2+x^3)*y^999")
+    with pytest.raises(ValueError, match="polynomial too large: its 4x1001 box is over 64000 bits"):
+        eval_term(RationalTerm(P("y^1000"), P("1+x")), Window(3, 10**9))
+    with pytest.raises(ValueError, match="polynomial too large: its 4x1001 box"):
+        eval_term(RationalTerm(ONE, P("1+y")), Window(3, 10**9))
 
 
 # -- the row engine against a cell-by-cell reference -----------------------
