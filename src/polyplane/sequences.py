@@ -29,12 +29,11 @@ def bit_tuple(text: str) -> tuple:
 
 
 def bit_text(values, what: str) -> str:
-    """'0'/'1' text as given, or that of an iterable of ints 0 and 1; ValueError for anything else."""
-    if not isinstance(values, str) and set(values := tuple(int(b) for b in values)) <= {0, 1}:
-        return "".join(map(str, values))
-    if not is_bit_text(values):  # int() would read the digits of every script
+    """The '0'/'1' str of an iterable of ints; ValueError unless each is 0 or 1, and for a str, which
+    is '0'/'1' text as it stands or no bits at all (int() reads the digits of every script)."""
+    if isinstance(values, str) or not set(values := tuple(int(b) for b in values)) <= {0, 1}:
         raise ValueError(f"{what} must be 0 or 1")
-    return values
+    return "".join(map(str, values))
 
 
 class BitSeq(Frozen):
