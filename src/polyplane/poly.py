@@ -144,7 +144,7 @@ class Window(Frozen):
         return self.n + 1
 
 
-def check_box(width: int, height: int) -> None:
+def _check_box(width: int, height: int) -> None:
     # Refuse before allocating: a row costs at least a machine word, and a
     # product is packed into one int the size of its box.
     if height * max(width, 64) > MAX_BOX_BITS:
@@ -180,7 +180,7 @@ class PatternPoly(Frozen):
             xs, ys = zip(*cells)
             x0, y0 = min(xs), min(ys)
             cols, height = max(xs) - x0 + 1, max(ys) - y0 + 1
-            check_box(cols, height)
+            _check_box(cols, height)
             rows = [0] * height
             for i, j in cells:
                 rows[j - y0] |= 1 << i - x0
@@ -234,7 +234,7 @@ class PatternPoly(Frozen):
             return other
         x0, y0 = min(self.x0, other.x0), min(self.y0, other.y0)
         height = max(self.y0 + len(self.rows), other.y0 + len(other.rows)) - y0
-        check_box(max(self.x0 + self._cols, other.x0 + other._cols) - x0, height)
+        _check_box(max(self.x0 + self._cols, other.x0 + other._cols) - x0, height)
         rows = [0] * height
         for p in (self, other):
             shift = p.x0 - x0
@@ -256,7 +256,7 @@ class PatternPoly(Frozen):
             return other.shift(self.x0, self.y0) if self.rows == (1,) else self.shift(other.x0, other.y0)
         width = self._cols + other._cols - 1
         height = len(self.rows) + len(other.rows) - 1
-        check_box(width, height)
+        _check_box(width, height)
         size = (width + 7) // 8  # bytes per packed row
         product = carryless_product(_pack(self.rows, size), _pack(other.rows, size))
         return PatternPoly._make(self.x0 + other.x0, self.y0 + other.y0, _unpack(product, size, height))
@@ -269,7 +269,7 @@ class PatternPoly(Frozen):
         if not exponent or not self._cols:
             return ZERO if exponent else ONE
         width, height = exponent * (self._cols - 1) + 1, exponent * (len(self.rows) - 1) + 1
-        check_box(width, height)
+        _check_box(width, height)
         size = (width + 7) // 8
         power = carryless_power(_pack(self.rows, size), exponent, lambda u: u)
         return PatternPoly._make(exponent * self.x0, exponent * self.y0, _unpack(power, size, height))

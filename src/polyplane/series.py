@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .poly import MAX_BOX_BITS, ONE, Frozen, PatternPoly, Window, check_box, term_text
+from .poly import MAX_BOX_BITS, ONE, Frozen, PatternPoly, Window, term_text
 
 
 def check_denominator(q: PatternPoly) -> None:
@@ -64,7 +64,6 @@ def expand_rows(num: PatternPoly, den: PatternPoly, window: Window) -> list[int]
     xs = [u for u, _ in shifts]
     depth = n - min(v for _, v in shifts)  # deepest series row any numerator shift can use
     top = max(v for _, v in shifts)
-    most = MAX_BOX_BITS // max(window.width, 64)  # window rows check_box lets the expansion write
 
     # Needed series columns are the window columns shifted by the numerator. The series has no
     # cell left of the band, and right of them the band holds the `reach` columns per row step
@@ -83,7 +82,6 @@ def expand_rows(num: PatternPoly, den: PatternPoly, window: Window) -> list[int]
     shifts = [(v, -(u + lo)) for u, v in shifts]
 
     rows = [0] * kept  # series row j is rows[j % kept]
-    grow_at = -top  # the first row j whose window row j + top is not in out yet
     for j in range(depth + 1):
         acc = (1 << -lo) if j == 0 else 0  # seed: coefficient 1 at (0, 0)
         for a, b in lower_taps:  # rows[(j - b) % kept] is still 0 while j < b
@@ -103,14 +101,13 @@ def expand_rows(num: PatternPoly, den: PatternPoly, window: Window) -> list[int]
                 term ^= acc << a
             acc = (acc ^ term) & mask
         rows[j % kept] = acc
-        if j >= grow_at:  # make room for this row's window rows: double the list, 1024 rows at first
-            check_box(window.width, min(j + top, n) + 1)
-            out += [0] * (min(max(j + top + 1, 2 * len(out), 1024), n + 1, most) - len(out))
-            grow_at = len(out) - top if len(out) <= n else depth + 1
+        if j + top >= len(out):  # make room for this row's window rows, a list slot counted as 64 bits
+            if (written := min(j + top, n) + 1) * 64 > MAX_BOX_BITS:
+                raise ValueError(f"series too tall: {written} window rows of 64 bits are over {MAX_BOX_BITS} bits")
+            out += [0] * (written - len(out))
         for v, right in shifts:
             if 0 <= j + v <= n:
                 out[j + v] ^= acc >> right & keep
-    del out[j + top + 1 :]  # rows no live series row reached
     return out
 
 

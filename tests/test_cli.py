@@ -227,6 +227,11 @@ def test_a_tall_window_writes_only_its_live_rows():
         done, seconds = run_capped(["expand", "--expr", expr, "--grid", "1x400000000"])
         assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
         assert seconds < 2.0
+    # the rows are bounded by their count, not by the window's width: 20,001 rows of one cell each
+    done, seconds = run_capped(["expand", "--expr", "1/(1+y)", "--grid", "20000x20000", "--format", "terms"])
+    want = "+".join(["1", "y"] + [f"y^{k}" for k in range(2, 20001)]) + "\n"
+    assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
+    assert seconds < 2.0
 
 
 def test_a_large_window_whose_band_keeps_few_rows_still_expands(capsys):

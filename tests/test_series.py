@@ -221,14 +221,15 @@ def test_expansion_stops_at_its_dead_rows():
 
 
 def test_the_window_rows_an_expansion_writes_are_bounded(monkeypatch):
-    # rows written, each counted as at least 64 bits, are bounded like the box of a PatternPoly
+    # the list of rows written is bounded at 64 bits a row, whatever the window's width
     monkeypatch.setattr(poly, "MAX_BOX_BITS", 64 * 1000)
     monkeypatch.setattr(series, "MAX_BOX_BITS", 64 * 1000)
     assert eval_term(RationalTerm(P("y^999"), P("1+x")), Window(3, 10**9)) == P("(1+x+x^2+x^3)*y^999")
-    with pytest.raises(ValueError, match="polynomial too large: its 4x1001 box is over 64000 bits"):
+    assert len(eval_term(RationalTerm(ONE, P("1+y")), Window(5000, 999))) == 1000
+    with pytest.raises(ValueError, match="series too tall: 1001 window rows of 64 bits are over 64000 bits"):
         eval_term(RationalTerm(P("y^1000"), P("1+x")), Window(3, 10**9))
-    with pytest.raises(ValueError, match="polynomial too large: its 4x1001 box"):
-        eval_term(RationalTerm(ONE, P("1+y")), Window(3, 10**9))
+    with pytest.raises(ValueError, match="series too tall: 1001 window rows"):
+        eval_term(RationalTerm(ONE, P("1+y")), Window(5000, 10**9))
 
 
 # -- the row engine against a cell-by-cell reference -----------------------
