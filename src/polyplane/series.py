@@ -82,6 +82,7 @@ def expand_rows(num: PatternPoly, den: PatternPoly, window: Window) -> list[int]
     shifts = [(v, -(u + lo)) for u, v in shifts]
 
     rows = [0] * kept  # series row j is rows[j % kept]
+    grow_at = -top  # the first row j whose window row j + top is not in out yet
     for j in range(depth + 1):
         acc = (1 << -lo) if j == 0 else 0  # seed: coefficient 1 at (0, 0)
         for a, b in lower_taps:  # rows[(j - b) % kept] is still 0 while j < b
@@ -101,13 +102,15 @@ def expand_rows(num: PatternPoly, den: PatternPoly, window: Window) -> list[int]
                 term ^= acc << a
             acc = (acc ^ term) & mask
         rows[j % kept] = acc
-        if j + top >= len(out):  # make room for this row's window rows, a list slot counted as 64 bits
-            if (written := min(j + top, n) + 1) * 64 > MAX_BOX_BITS:
+        if j >= grow_at:  # make room for this row's window rows: double the list, 1024 rows at first
+            if (written := min(j + top, n) + 1) * 64 > MAX_BOX_BITS:  # a list slot counted as 64 bits
                 raise ValueError(f"series too tall: {written} window rows of 64 bits are over {MAX_BOX_BITS} bits")
-            out += [0] * (written - len(out))
+            out += [0] * (min(max(written, 2 * len(out), 1024), n + 1, MAX_BOX_BITS // 64) - len(out))
+            grow_at = len(out) - top if len(out) <= n else depth + 1
         for v, right in shifts:
             if 0 <= j + v <= n:
                 out[j + v] ^= acc >> right & keep
+    del out[j + top + 1 :]  # rows no live series row reached
     return out
 
 
