@@ -3,11 +3,14 @@
 Each reference is the plain loop the definition states: a fold places term
 t at its cell one step at a time, a codec walks monomial_at/index_of bit by
 bit, bit k of a d-sequence is (2^(k+1) mod p) mod 2, and a period hint
-holds when every bit equals the one a hint further on.  Errors are
-compared by type and message.
+holds when every bit equals the one a hint further on.  An LFSR sequence
+is checked without its recurrence: Berlekamp-Massey must read its
+polynomial back from its first 2*deg q bits.  Errors are compared by type
+and message.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from polyplane.folding import SCHEMES, BitGrid, fold, unfold
 from polyplane.ordering import ORDERINGS, decode, encode, index_of, monomial_at
 from polyplane.poly import ZERO, PatternPoly
-from polyplane.sequences import BitSeq, dseq
+from polyplane.sequences import BitSeq, dseq, poly_reciprocal_seq
 
 bit_lists = st.lists(st.integers(0, 1), max_size=120)
 sides = st.integers(1, 12)
@@ -139,6 +142,36 @@ def test_encode_edge_cases_match():
        st.integers(1, 400))
 def test_dseq_matches_powers_of_two(p, count):
     assert dseq(p, count).bits == tuple(pow(2, k + 1, p) % 2 for k in range(count))
+
+
+def berlekamp_massey(bits) -> int:
+    """The connection polynomial of the shortest LFSR that generates bits, over GF(2),
+    as an int with bit i for x^i (Massey, IEEE Trans. Inf. Theory 15, 1969)."""
+    c, b = 1, 1  # the current and the last-changed connection polynomials
+    length, gap = 0, 1
+    for n, bit in enumerate(bits):
+        # the discrepancy: bit n against what c predicts from the length bits before it
+        d = bit
+        for i in range(1, length + 1):
+            d ^= (c >> i & 1) & bits[n - i]
+        if not d:
+            gap += 1
+        elif 2 * length <= n:
+            c, b = c ^ (b << gap), c
+            length, gap = n + 1 - length, 1
+        else:
+            c ^= b << gap
+            gap += 1
+    return c
+
+
+def test_berlekamp_massey_reads_the_polynomial_back_from_an_lfsr_sequence():
+    # 1/q has linear complexity deg q, so 2*deg q of its bits determine q
+    rng = random.Random(5)
+    for degree in list(range(1, 25)) * 6:
+        packed = 1 | 1 << degree | rng.getrandbits(degree) << 1 & (1 << degree) - 1
+        q = PatternPoly((i, 0) for i in range(degree + 1) if packed >> i & 1)
+        assert berlekamp_massey(poly_reciprocal_seq(q, 2 * degree).bits) == packed, q
 
 
 @given(bit_lists, st.integers(1, 130), st.booleans())

@@ -272,24 +272,47 @@ def reference_expand(num, den, window):
 
 def random_term(rng, case):
     """A random admissible term of one of the CASES, and a window for it."""
-    lower_x, lower_count, num_x, num_y, num_count, side = CASES[case]
+    row_count, lower_x, lower_count, num_x, num_y, num_count, side = CASES[case]
     den = {(0, 0)}
-    den |= {(rng.randint(1, 6), 0) for _ in range(rng.randrange(0, 4))}
+    den |= {(rng.randint(1, 6), 0) for _ in range(rng.randrange(*row_count))}
     den |= {(rng.randint(*lower_x), rng.randint(1, 3)) for _ in range(rng.randrange(*lower_count))}
     num = {(rng.randint(*num_x), rng.randint(*num_y)) for _ in range(rng.randrange(*num_count))}
-    window = Window(rng.randrange(side // 4 if case != "small" else 0, side + 1), rng.randrange(0, side + 1))
+    if case in BAND_WIDTHS:
+        # lower taps x^a*y^b with a >= 0 and every numerator term inside the window's
+        # columns and at most 3 rows down: the band is the window's columns widened by
+        # the spread of the numerator's x-exponents, so the window sets its width
+        xs = [u for u, _ in num]
+        window = Window(rng.randint(*BAND_WIDTHS[case]) - 1 - (max(xs) - min(xs)), rng.randrange(3, side + 1))
+    else:
+        window = Window(rng.randrange(side // 4 if case != "small" else 0, side + 1), rng.randrange(0, side + 1))
     return RationalTerm(PatternPoly(num), PatternPoly(den)), window
 
 
-# lower-tap x-steps and count range, numerator x- and y-exponents and term count range, window side
+# in-row tap count range, lower-tap x-steps and count range, numerator x- and y-exponents and
+# term count range, window side (the height alone for the BAND_WIDTHS cases)
 CASES = {
-    "small": ((-3, 3), (0, 3), (-4, 6), (-3, 6), (0, 4), 15),
+    "small": ((0, 4), (-3, 3), (0, 3), (-4, 6), (-3, 6), (0, 4), 15),
     # x-steps that pass the window: the rows die after a few steps, and the expansion stops
-    "rows_die": ((8, 45), (1, 3), (-6, 10), (-3, 20), (1, 5), 40),
+    "rows_die": ((0, 4), (8, 45), (1, 3), (-6, 10), (-3, 20), (1, 5), 40),
     # only nonnegative lower taps: the band gets no margin, wherever the numerator sits
-    "numerators_far_left": ((0, 4), (1, 3), (-70, -30), (-3, 20), (1, 5), 40),
-    "numerators_far_right": ((0, 4), (1, 3), (10, 40), (-3, 20), (1, 5), 40),
-    "laurent_wide": ((-3, 3), (0, 3), (-20, 40), (-3, 20), (1, 5), 40),
+    "numerators_far_left": ((0, 4), (0, 4), (1, 3), (-70, -30), (-3, 20), (1, 5), 40),
+    "numerators_far_right": ((0, 4), (0, 4), (1, 3), (10, 40), (-3, 20), (1, 5), 40),
+    "laurent_wide": ((0, 4), (-3, 3), (0, 3), (-20, 40), (-3, 20), (1, 5), 40),
+    # in-row taps on every term, on bands of about one byte, one word and two words
+    "in_row_band_8": ((1, 4), (0, 4), (0, 3), (0, 3), (-3, 3), (1, 5), 40),
+    "in_row_band_64": ((1, 4), (0, 4), (0, 3), (0, 3), (-3, 3), (1, 5), 40),
+    "in_row_band_128": ((1, 4), (0, 4), (0, 3), (0, 3), (-3, 3), (1, 5), 40),
+    # in-row taps beside lower taps whose x-step reaches or passes the band's width
+    "in_row_steps_pass_band": ((1, 4), (7, 12), (1, 4), (0, 3), (-3, 3), (1, 5), 40),
+    # in-row taps beside Laurent lower taps, which widen the band
+    "in_row_laurent": ((1, 4), (-4, -1), (1, 3), (-10, 20), (-3, 20), (1, 5), 40),
+}
+# the band widths, in bits, of the cases whose window is sized from their band
+BAND_WIDTHS = {
+    "in_row_band_8": (7, 9),
+    "in_row_band_64": (63, 65),
+    "in_row_band_128": (127, 129),
+    "in_row_steps_pass_band": (7, 9),
 }
 
 
@@ -313,3 +336,17 @@ def test_eval_sum_is_the_sum_of_the_references():
         for t in terms:
             want ^= reference_expand(t.numerator, t.denominator, w).support
         assert eval_sum(terms, w) == PatternPoly(want), (terms, w)
+
+
+def test_both_sides_of_the_packed_band_budget_match_the_reference(monkeypatch):
+    # An in-row-tap term whose whole band fits PACKED_BAND_BITS is resolved in one packed
+    # product, any other row by row.  The budgets below put each term's band under some of
+    # them and over the rest, from none packed (0) to all packed.
+    rng = random.Random("97-budget")
+    cases = ["in_row_band_8", "in_row_band_64", "in_row_band_128", "in_row_steps_pass_band", "in_row_laurent"]
+    terms = [random_term(rng, case) for case in cases for _ in range(6)]
+    wants = [reference_expand(t.numerator, t.denominator, w) for t, w in terms]
+    for bits in [0] + [1 << k for k in range(6, 18)] + [1 << 40]:
+        monkeypatch.setattr(series, "PACKED_BAND_BITS", bits, raising=False)
+        for (term, w), want in zip(terms, wants):
+            assert eval_term(term, w) == want, (bits, term, w)
