@@ -147,7 +147,7 @@ def poly_reciprocal_seq(q: PatternPoly, count: int) -> BitSeq:
     check_denominator(q)
     if len(q.rows) > 1:  # check_denominator leaves y^0 as the first row
         raise ValueError("polynomial must be univariate in x")
-    bits = row_text(expand_rows(ONE, q, Window(count - 1, 0))[0], count)
+    bits = row_text(expand_rows(ONE, q, Window(count - 1, 0))[1][0], count)
     packed = q.rows[0]  # with bit 0, the constant term
     degree = packed.bit_length() - 1
     return BitSeq(bits, period_hint=order_of_x(packed) if 0 < degree <= MAX_HINT_DEGREE else None)

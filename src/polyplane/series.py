@@ -8,13 +8,20 @@ constant term and every other term (a, b) satisfies b > 0, or b = 0 with
 a > 0.  Only Laurent x-terms such as x^-1*y reach rightward into previous
 rows, so rows are computed on a band widened by them alone; the band
 margins below guarantee that every coefficient inside the window is exact.
+
+With q = 1 + T, squaring is the Frobenius map over GF(2), so 1/q is the
+product of the factors 1 + T(x^(2^k), y^(2^k)).  When q has in-row taps and
+the whole band fits PACKED_BAND_BITS, its rows sit a stride apart in one
+int and each factor is one shift and one XOR per tap on it.  Any other band
+is resolved row by row, applying the same identity in x alone to each
+nonzero row, and the row loop stops once the rows it keeps are all zero.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .poly import MAX_BOX_BITS, ONE, Frozen, PatternPoly, Window, term_text
+from .poly import MAX_BOX_BITS, ONE, ZERO, Frozen, PatternPoly, Window, term_text
 
 
 def check_denominator(q: PatternPoly) -> None:
@@ -46,11 +53,14 @@ class RationalTerm(Frozen):
         object.__setattr__(self, "denominator", denominator)
 
 
-def expand_rows(num: PatternPoly, den: PatternPoly, window: Window) -> list[int]:
-    """Window-exact rows of num * (1/den) for admissible den: bit i of row j is cell (i, j).
-    The list stops soon after the last nonzero row; the rows past its end are zero."""
+PACKED_BAND_BITS = 1 << 18  # the largest band, rows times stride, that expand_rows resolves in one packed int
+
+
+def expand_rows(num: PatternPoly, den: PatternPoly, window: Window) -> tuple[int, list[int]]:
+    """Window-exact rows of num * (1/den) for admissible den, from the first window row a numerator
+    term reaches: ``(first, rows)`` with bit i of rows[k] for cell (i, first + k).  The list stops
+    soon after the last nonzero row; the rows past its end are zero."""
     n = window.n
-    out = []
     row_taps = [a for a, b in den.support if b == 0 and a > 0]
     lower_taps = [(a, b) for a, b in den.support if b > 0]
     # Only a tap x^a y^b with a < 0 reads columns right of the one it writes.
@@ -60,10 +70,13 @@ def expand_rows(num: PatternPoly, den: PatternPoly, window: Window) -> list[int]
     # x^u y^v reaches the window only if v <= n and u - (n - v)*reach <= m.
     shifts = [(u, v) for u, v in num.support if v <= n and u - (n - v) * reach <= window.m]
     if not shifts:
-        return out
+        return 0, []
     xs = [u for u, _ in shifts]
-    depth = n - min(v for _, v in shifts)  # deepest series row any numerator shift can use
-    top = max(v for _, v in shifts)
+    low = min(v for _, v in shifts)
+    depth = n - low  # deepest series row any numerator shift can use
+    first = max(low, 0)  # window row first + k is out[k]
+    height = n + 1 - first  # window rows first..n
+    top = max(v for _, v in shifts) - first
 
     # Needed series columns are the window columns shifted by the numerator. The series has no
     # cell left of the band, and right of them the band holds the `reach` columns per row step
@@ -76,12 +89,30 @@ def expand_rows(num: PatternPoly, den: PatternPoly, window: Window) -> list[int]
     if kept * width > MAX_BOX_BITS:
         raise ValueError(f"series band too large: {kept} rows of {width} bits are over {MAX_BOX_BITS} bits")
     mask, keep = (1 << width) - 1, (1 << window.width) - 1
+    # Series column i - u is bit i - u - lo; lo <= -u, so the shift is rightward.
+    shifts = [(v - first, -(u + lo)) for u, v in shifts]
+
+    if row_taps:
+        # With T = den - 1, 1/den = prod_k (1 + T(x^(2^k), y^(2^k))) over GF(2), and round k
+        # multiplies by factor k.  A tap x^a y^b takes part in the rounds k while its shifts
+        # a*2^k and b*2^k keep some cell in the band (|a*2^k| under its width, b*2^k under its
+        # live rows); in the later ones it moves every cell out.  With no lower tap only row 0 lives.
+        live = depth + 1 if lower_taps else 1
+        taps = [(a, 0) for a in row_taps] + lower_taps
+        counts = [min(((size - 1) // step).bit_length() for step, size in ((abs(a), width), (b, live)) if step)
+                  for a, b in taps]
+        # Rows sit a stride apart in one int: it leaves room for the largest x-shift, so no cell
+        # crosses into the next row, and whole bytes, so the rows split out of one to_bytes pass.
+        stride = (width + max((abs(a) << c - 1 for (a, _), c in zip(taps, counts) if c), default=0) + 7) & -8
+        # The row loop below refuses window rows past MAX_BOX_BITS, so it takes those too.
+        if max(live, height) * stride <= PACKED_BAND_BITS and height * 64 <= MAX_BOX_BITS:
+            taps = [(a + b * stride, c) for (a, b), c in zip(taps, counts) if c]  # a + b*stride > 0
+            return first, _expand_packed(taps, stride, live, lo, mask, keep, shifts, height)
+
+    out = []
+    rows = [0] * kept  # series row j is rows[j % kept]
     min_tap = min(row_taps, default=width)
     rounds = [[a << k for a in row_taps] for k in range(((width - 1) // min_tap).bit_length())]
-    # Series column i - u is bit i - u - lo; lo <= -u, so the shift is rightward.
-    shifts = [(v, -(u + lo)) for u, v in shifts]
-
-    rows = [0] * kept  # series row j is rows[j % kept]
     grow_at = -top  # the first row j whose window row j + top is not in out yet
     for j in range(depth + 1):
         acc = (1 << -lo) if j == 0 else 0  # seed: coefficient 1 at (0, 0)
@@ -94,7 +125,7 @@ def expand_rows(num: PatternPoly, den: PatternPoly, window: Window) -> list[int]
             if any(rows):
                 continue
             break  # rows j - kept + 1 .. j are zero, so every later row is too
-        # With T the in-row taps, the row is acc / (1 + T), and over GF(2)
+        # The packed product in x alone: with T the in-row taps, the row is acc / (1 + T), and
         # 1 / (1 + T) = prod_k (1 + T(x^(2^k))) mod x^width; rounds[k] holds the exponents of T(x^(2^k)).
         for taps in rounds:
             term = 0
@@ -103,15 +134,48 @@ def expand_rows(num: PatternPoly, den: PatternPoly, window: Window) -> list[int]
             acc = (acc ^ term) & mask
         rows[j % kept] = acc
         if j >= grow_at:  # make room for this row's window rows: double the list, 1024 rows at first
-            if (written := min(j + top, n) + 1) * 64 > MAX_BOX_BITS:  # a list slot counted as 64 bits
+            if (written := min(j + top, height - 1) + 1) * 64 > MAX_BOX_BITS:  # a list slot counted as 64 bits
                 raise ValueError(f"series too tall: {written} window rows of 64 bits are over {MAX_BOX_BITS} bits")
-            out += [0] * (min(max(written, 2 * len(out), 1024), n + 1, MAX_BOX_BITS // 64) - len(out))
-            grow_at = len(out) - top if len(out) <= n else depth + 1
+            out += [0] * (min(max(written, 2 * len(out), 1024), height, MAX_BOX_BITS // 64) - len(out))
+            grow_at = len(out) - top if len(out) < height else depth + 1
         for v, right in shifts:
-            if 0 <= j + v <= n:
+            if 0 <= j + v < height:
                 out[j + v] ^= acc >> right & keep
     del out[j + top + 1 :]  # rows no live series row reached
-    return out
+    return first, out
+
+
+def _expand_packed(taps, stride, live, lo, mask, keep, shifts, height) -> list[int]:
+    # expand_rows on rows 0..live-1 of the band at once, each a stride apart in one int;
+    # taps holds (shift, count) pairs: shift << k in the rounds k < count
+    band = _tile(mask, stride, live)
+    acc = 1 << -lo  # seed: coefficient 1 at (0, 0)
+    for k in range(max((c for _, c in taps), default=0)):
+        term = 0
+        for shift, count in taps:
+            if k < count:
+                term ^= acc << (shift << k)
+        acc = (acc ^ term) & band
+    out = 0
+    for v, right in shifts:  # series row j is window row j + v, its column i - u window column i
+        shift = v * stride - right
+        out ^= acc << shift if shift >= 0 else acc >> -shift
+    rows = min(height, -(-out.bit_length() // stride))
+    if rows <= 1:  # a single row needs no split
+        return [out & keep]
+    out &= _tile(keep, stride, rows)
+    size = stride // 8
+    data = out.to_bytes(rows * size, "little")
+    return [int.from_bytes(data[k : k + size], "little") for k in range(0, len(data), size)]
+
+
+def _tile(row: int, stride: int, count: int) -> int:
+    # count copies of row, a stride apart, by doubling
+    tiled, rows = row, 1
+    while rows < count:
+        tiled |= tiled << rows * stride
+        rows *= 2
+    return tiled >> (rows - count) * stride
 
 
 def reciprocal(q: PatternPoly, window: Window) -> PatternPoly:
@@ -123,15 +187,18 @@ def eval_term(term: RationalTerm, window: Window) -> PatternPoly:
     """Expansion of numerator/denominator truncated to the window."""
     if window.mode != "window":
         raise ValueError("eval_term needs a window-mode Window; wrap-mode division is a ring operation")
-    return PatternPoly.from_rows(expand_rows(term.numerator, term.denominator, window))
+    first, rows = expand_rows(term.numerator, term.denominator, window)
+    return PatternPoly._make(0, first, rows)
 
 
 def eval_sum(terms: Iterable[RationalTerm], window: Window) -> PatternPoly:
     """GF(2) sum of the expansions of all terms, added row by row into one buffer."""
-    out = []
-    for term in terms:
-        p = eval_term(term, window)  # its cells lie in the window: x0, y0 >= 0
-        out += [0] * (p.y0 + len(p.rows) - len(out))
-        for j, row in enumerate(p.rows, p.y0):
+    polys = [p for p in (eval_term(term, window) for term in terms) if p]  # cells in the window: x0, y0 >= 0
+    if not polys:
+        return ZERO
+    y0 = min(p.y0 for p in polys)
+    out = [0] * (max(p.y0 + len(p.rows) for p in polys) - y0)
+    for p in polys:
+        for j, row in enumerate(p.rows, p.y0 - y0):
             out[j] ^= row << p.x0
-    return PatternPoly.from_rows(out)
+    return PatternPoly._make(0, y0, out)

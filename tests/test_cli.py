@@ -9,7 +9,9 @@ import pytest
 from sympy import factorint
 
 from polyplane.cli import build_parser, run
-from polyplane.poly import term_text
+from polyplane.dsl import parse_poly as P
+from polyplane.poly import Window, term_text
+from polyplane.series import reciprocal
 
 
 def test_expand_terms(capsys):
@@ -194,9 +196,10 @@ def test_a_pattern_too_large_to_store_is_a_domain_error(capsys):
     assert "too large" in err
 
 
-def run_capped(argv: list[str]) -> tuple[subprocess.CompletedProcess, float]:
+def run_capped(argv: list[str], *, code: str | None = None, stdout=subprocess.PIPE):
     """The CLI in a child process whose address space is capped at 1 GB, and its wall time; the cap
-    turns an allocation past it into a quick MemoryError instead of a machine-wide one."""
+    turns an allocation past it into a quick MemoryError instead of a machine-wide one.  With code,
+    the child runs that Python source with argv as its arguments instead of `-m polyplane`."""
     import resource
 
     def cap_memory():
@@ -205,8 +208,9 @@ def run_capped(argv: list[str]) -> tuple[subprocess.CompletedProcess, float]:
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "polyplane", *argv], capture_output=True, text=True,
-                          env=env, timeout=60, preexec_fn=cap_memory)
+    done = subprocess.run([sys.executable, *(["-c", code] if code else ["-m", "polyplane"]), *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+                          preexec_fn=cap_memory)
     return done, time.perf_counter() - start
 
 
@@ -223,10 +227,16 @@ def test_a_series_band_too_large_to_store_is_a_domain_error():
 def test_a_tall_window_writes_only_its_live_rows():
     # the expansion stops at its first dead series rows and writes the window
     # rows up to them only: a list of all 400,000,001 rows would take 3.2 GB
-    for expr, want in (("1", "1\n"), ("y^3/(1+x+x^2)", "y^3+x*y^3\n"), ("x/(1+x^9*y)", "x\n")):
+    for expr, want in (("1", "1\n"), ("y^3/(1+x+x^2)", "y^3+x*y^3\n"), ("x/(1+x^9*y)", "x\n"),
+                       ("y^100000000", "y^100000000\n")):  # rows are counted from the first one lit
         done, seconds = run_capped(["expand", "--expr", expr, "--grid", "1x400000000"])
         assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
         assert seconds < 2.0
+    # in-row taps whose band is too tall for one packed product: the row loop stops by row 34
+    want = f"{reciprocal(P('1+x+x^3*y'), Window(100, 100))}\n"
+    done, seconds = run_capped(["expand", "--expr", "1/(1+x+x^3*y)", "--grid", "100x400000000"])
+    assert (done.returncode, done.stdout, done.stderr) == (0, want, "") and len(want) == 4872
+    assert seconds < 2.0
     # the rows are bounded by their count, not by the window's width: 20,001 rows of one cell each
     done, seconds = run_capped(["expand", "--expr", "1/(1+y)", "--grid", "20000x20000", "--format", "terms"])
     want = "+".join(["1", "y"] + [f"y^{k}" for k in range(2, 20001)]) + "\n"
@@ -253,6 +263,16 @@ def test_lfsr_of_high_degree_is_fast(capsys):
     assert run(["lfsr", "--poly", "1+x+x^137", "--count", "10"]) == 0
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().out == "1111111111\n"
+
+
+def test_an_lfsr_at_the_count_bound_keeps_its_peak_memory():
+    # 2^28 bits are one series row far over the packed band's budget, so the row loop
+    # resolves it, as it did before the packed path: 782 MB peak RSS with stdout discarded
+    code = ("import resource, sys; from polyplane.cli import run; code = run(sys.argv[1:]); "
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)")
+    done, _ = run_capped(["lfsr", "--poly", "1+x+x^3", "--count", str(1 << 28)], code=code, stdout=subprocess.DEVNULL)
+    code, peak_kb = map(int, done.stderr.split())
+    assert code == 0 and peak_kb <= 1.1 * 782 * 1024
 
 
 def test_lfsr_command(capsys):

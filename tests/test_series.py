@@ -216,8 +216,11 @@ def test_expansion_stops_at_its_dead_rows():
     got = eval_term(term, Window(255, 10**6))
     assert time.perf_counter() - start < 0.1
     assert got == eval_term(term, Window(255, 14)) and len(got) == 171
-    rows = expand_rows(P("x^2"), P("1+x^40*y"), Window(30, 10**6))  # row 1 is past the window
-    assert rows[0] == 1 << 2 and not any(rows[1:]) and len(rows) <= 3
+    first, rows = expand_rows(P("x^2"), P("1+x^40*y"), Window(30, 10**6))  # row 1 is past the window
+    assert first == 0 and rows[0] == 1 << 2 and not any(rows[1:]) and len(rows) <= 3
+    # the list starts at the first window row a numerator term reaches
+    first, rows = expand_rows(P("y^5+x*y^7"), P("1+x^40*y"), Window(30, 10**6))
+    assert first == 5 and rows[:3] == [1, 0, 2] and not any(rows[3:]) and len(rows) <= 5
 
 
 def test_the_window_rows_an_expansion_writes_are_bounded(monkeypatch):
@@ -226,10 +229,14 @@ def test_the_window_rows_an_expansion_writes_are_bounded(monkeypatch):
     monkeypatch.setattr(series, "MAX_BOX_BITS", 64 * 1000)
     assert eval_term(RationalTerm(P("y^999"), P("1+x")), Window(3, 10**9)) == P("(1+x+x^2+x^3)*y^999")
     assert len(eval_term(RationalTerm(ONE, P("1+y")), Window(5000, 999))) == 1000
+    # the rows are counted from the first one a numerator term reaches: y^10^8 costs one row
+    assert eval_term(RationalTerm(P("y^100000000"), P("1+x")), Window(3, 10**9)) == P("(1+x+x^2+x^3)*y^100000000")
     with pytest.raises(ValueError, match="series too tall: 1001 window rows of 64 bits are over 64000 bits"):
-        eval_term(RationalTerm(P("y^1000"), P("1+x")), Window(3, 10**9))
-    with pytest.raises(ValueError, match="series too tall: 1001 window rows"):
-        eval_term(RationalTerm(ONE, P("1+y")), Window(5000, 10**9))
+        eval_term(RationalTerm(P("y^7"), P("1+y")), Window(5000, 10**9))
+    # so are those of an in-row-tap term, whether its band is too tall for one packed product or not
+    for height in (10**9, 1500):
+        with pytest.raises(ValueError, match="series too tall: 1001 window rows"):
+            eval_term(RationalTerm(ONE, P("1+x+y")), Window(3, height))
 
 
 # -- the row engine against a cell-by-cell reference -----------------------
