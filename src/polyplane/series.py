@@ -106,8 +106,8 @@ def expand_rows(num: PatternPoly, den: PatternPoly, window: Window) -> tuple[int
         stride = (width + max((abs(a) << c - 1 for (a, _), c in zip(taps, counts) if c), default=0) + 7) & -8
         # The row loop below refuses window rows past MAX_BOX_BITS, so it takes those too.
         if max(live, height) * stride <= PACKED_BAND_BITS and height * 64 <= MAX_BOX_BITS:
-            taps = [(a + b * stride, c) for (a, b), c in zip(taps, counts) if c]  # a + b*stride > 0
-            return first, _expand_packed(taps, stride, live, lo, mask, keep, shifts, height)
+            packed = [(a + b * stride, c) for (a, b), c in zip(taps, counts) if c]  # a + b*stride > 0
+            return first, _expand_packed(packed, stride, live, lo, mask, keep, shifts, height)
 
     out = []
     rows = [0] * kept  # series row j is rows[j % kept]

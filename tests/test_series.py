@@ -232,6 +232,8 @@ def test_the_window_rows_an_expansion_writes_are_bounded(monkeypatch):
     # the rows are counted from the first one a numerator term reaches: y^10^8 costs one row
     assert eval_term(RationalTerm(P("y^100000000"), P("1+x")), Window(3, 10**9)) == P("(1+x+x^2+x^3)*y^100000000")
     with pytest.raises(ValueError, match="series too tall: 1001 window rows of 64 bits are over 64000 bits"):
+        eval_term(RationalTerm(ONE, P("1+y")), Window(5000, 10**9))
+    with pytest.raises(ValueError, match="series too tall: 1001 window rows"):
         eval_term(RationalTerm(P("y^7"), P("1+y")), Window(5000, 10**9))
     # so are those of an in-row-tap term, whether its band is too tall for one packed product or not
     for height in (10**9, 1500):
