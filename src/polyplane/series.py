@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .poly import MAX_BOX_BITS, ONE, ZERO, Frozen, PatternPoly, Window, term_text
+from .poly import MAX_BOX_BITS, ONE, ZERO, Frozen, PatternPoly, Window, _unpack, term_text
 
 
 def check_denominator(q: PatternPoly) -> None:
@@ -54,6 +54,8 @@ class RationalTerm(Frozen):
 
 
 PACKED_BAND_BITS = 1 << 18  # the largest band, rows times stride, that expand_rows resolves in one packed int
+# A packed band holds at most PACKED_BAND_BITS // 8 window rows, so they are within the bound the row loop applies.
+assert PACKED_BAND_BITS // 8 * 64 <= MAX_BOX_BITS
 
 
 def expand_rows(num: PatternPoly, den: PatternPoly, window: Window) -> tuple[int, list[int]]:
@@ -104,8 +106,7 @@ def expand_rows(num: PatternPoly, den: PatternPoly, window: Window) -> tuple[int
         # Rows sit a stride apart in one int: it leaves room for the largest x-shift, so no cell
         # crosses into the next row, and whole bytes, so the rows split out of one to_bytes pass.
         stride = (width + max((abs(a) << c - 1 for (a, _), c in zip(taps, counts) if c), default=0) + 7) & -8
-        # The row loop below refuses window rows past MAX_BOX_BITS, so it takes those too.
-        if max(live, height) * stride <= PACKED_BAND_BITS and height * 64 <= MAX_BOX_BITS:
+        if max(live, height) * stride <= PACKED_BAND_BITS:
             packed = [(a + b * stride, c) for (a, b), c in zip(taps, counts) if c]  # a + b*stride > 0
             return first, _expand_packed(packed, stride, live, lo, mask, keep, shifts, height)
 
@@ -148,7 +149,8 @@ def expand_rows(num: PatternPoly, den: PatternPoly, window: Window) -> tuple[int
 def _expand_packed(taps, stride, live, lo, mask, keep, shifts, height) -> list[int]:
     # expand_rows on rows 0..live-1 of the band at once, each a stride apart in one int;
     # taps holds (shift, count) pairs: shift << k in the rounds k < count
-    band = _tile(mask, stride, live)
+    size = stride // 8
+    band = int.from_bytes(mask.to_bytes(size, "little") * live, "little")  # live copies of mask
     acc = 1 << -lo  # seed: coefficient 1 at (0, 0)
     for k in range(max((c for _, c in taps), default=0)):
         term = 0
@@ -163,19 +165,7 @@ def _expand_packed(taps, stride, live, lo, mask, keep, shifts, height) -> list[i
     rows = min(height, -(-out.bit_length() // stride))
     if rows <= 1:  # a single row needs no split
         return [out & keep]
-    out &= _tile(keep, stride, rows)
-    size = stride // 8
-    data = out.to_bytes(rows * size, "little")
-    return [int.from_bytes(data[k : k + size], "little") for k in range(0, len(data), size)]
-
-
-def _tile(row: int, stride: int, count: int) -> int:
-    # count copies of row, a stride apart, by doubling
-    tiled, rows = row, 1
-    while rows < count:
-        tiled |= tiled << rows * stride
-        rows *= 2
-    return tiled >> (rows - count) * stride
+    return _unpack(out & int.from_bytes(keep.to_bytes(size, "little") * rows, "little"), size, rows)
 
 
 def reciprocal(q: PatternPoly, window: Window) -> PatternPoly:
@@ -197,7 +187,10 @@ def eval_sum(terms: Iterable[RationalTerm], window: Window) -> PatternPoly:
     if not polys:
         return ZERO
     y0 = min(p.y0 for p in polys)
-    out = [0] * (max(p.y0 + len(p.rows) for p in polys) - y0)
+    # each term's rows are bounded on their own, but the rows between two terms are not
+    if (height := max(p.y0 + len(p.rows) for p in polys) - y0) * 64 > MAX_BOX_BITS:
+        raise ValueError(f"series too tall: {height} window rows of 64 bits are over {MAX_BOX_BITS} bits")
+    out = [0] * height
     for p in polys:
         for j, row in enumerate(p.rows, p.y0 - y0):
             out[j] ^= row << p.x0

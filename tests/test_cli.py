@@ -237,6 +237,11 @@ def test_a_tall_window_writes_only_its_live_rows():
     done, seconds = run_capped(["expand", "--expr", "1/(1+x+x^3*y)", "--grid", "100x400000000"])
     assert (done.returncode, done.stdout, done.stderr) == (0, want, "") and len(want) == 4872
     assert seconds < 2.0
+    # a sum's rows run from its first term's to its last's: 10^8 + 1 rows are refused before any is built
+    done, seconds = run_capped(["expand", "--expr", "1+y^100000000/(1+x)", "--grid", "1x400000000"])
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "error: series too tall: 100000001 window rows of 64 bits are over 268435456 bits\n"
+    assert seconds < 2.0
     # the rows are bounded by their count, not by the window's width: 20,001 rows of one cell each
     done, seconds = run_capped(["expand", "--expr", "1/(1+y)", "--grid", "20000x20000", "--format", "terms"])
     want = "+".join(["1", "y"] + [f"y^{k}" for k in range(2, 20001)]) + "\n"

@@ -235,10 +235,12 @@ def test_the_window_rows_an_expansion_writes_are_bounded(monkeypatch):
         eval_term(RationalTerm(ONE, P("1+y")), Window(5000, 10**9))
     with pytest.raises(ValueError, match="series too tall: 1001 window rows"):
         eval_term(RationalTerm(P("y^7"), P("1+y")), Window(5000, 10**9))
-    # so are those of an in-row-tap term, whether its band is too tall for one packed product or not
-    for height in (10**9, 1500):
-        with pytest.raises(ValueError, match="series too tall: 1001 window rows"):
-            eval_term(RationalTerm(ONE, P("1+x+y")), Window(3, height))
+    # so are those of an in-row-tap term
+    with pytest.raises(ValueError, match="series too tall: 1001 window rows"):
+        eval_term(RationalTerm(ONE, P("1+x+y")), Window(3, 10**9))
+    # and those of a sum, gaps between its terms included, though each term is one row
+    with pytest.raises(ValueError, match="series too tall: 100000001 window rows of 64 bits are over 64000 bits"):
+        eval_sum([RationalTerm(ONE, ONE), RationalTerm(P("y^100000000"), P("1+x"))], Window(3, 10**9))
 
 
 # -- the row engine against a cell-by-cell reference -----------------------
@@ -356,6 +358,6 @@ def test_both_sides_of_the_packed_band_budget_match_the_reference(monkeypatch):
     terms = [random_term(rng, case) for case in cases for _ in range(6)]
     wants = [reference_expand(t.numerator, t.denominator, w) for t, w in terms]
     for bits in [0] + [1 << k for k in range(6, 18)] + [1 << 40]:
-        monkeypatch.setattr(series, "PACKED_BAND_BITS", bits, raising=False)
+        monkeypatch.setattr(series, "PACKED_BAND_BITS", bits)
         for (term, w), want in zip(terms, wants):
             assert eval_term(term, w) == want, (bits, term, w)
