@@ -25,37 +25,30 @@ from math import lcm
 from operator import xor
 
 from .numtheory import carryless_power, carryless_product, least_divisor, order_of_two, prime_factors
-from .poly import PatternPoly, diag_key, set_bits
+from .poly import Frozen, PatternPoly, diag_key, set_bits
 
 MAX_TABLE_CELLS = 64  # m*n bound for mul_table
 MAX_ENUM_BITS = 24  # m*n bound for enumerate_nonzero
 MAX_FIELD_DEGREE = 1024  # bound for order on L = ord_lcm(m',n')(2), see _exponent
 
 
-class QuotientRing:
+class QuotientRing(Frozen):
     """The ring of bivariate GF(2) polynomials with x^m = 1 and y^n = 1."""
+
+    __match_args__ = ("m", "n")  # no __slots__: the cached properties below live in __dict__
 
     def __init__(self, m: int, n: int):
         if m < 1 or n < 1:
             raise ValueError("moduli must be positive")
-        self.m = m
-        self.n = n
-        self._stride = stride = 2 * m - 1
-        self._rows = (1 << n * stride) - 1  # the rows 0..n-1 of the packed layout
-        cell_column = self._rows // ((1 << stride) - 1)  # bit 0 of every row
-        self._cols = cell_column * ((1 << m) - 1)  # columns 0..m-1 of every row
-        self._wrap = cell_column * ((1 << m - 1) - 1)  # columns 0..m-2
+        stride = 2 * m - 1
+        rows = (1 << n * stride) - 1  # the rows 0..n-1 of the packed layout
+        cell_column = rows // ((1 << stride) - 1)  # bit 0 of every row
+        cols = cell_column * ((1 << m) - 1)  # columns 0..m-1 of every row
+        wrap = cell_column * ((1 << m - 1) - 1)  # columns 0..m-2
+        vars(self).update(m=m, n=n, _stride=stride, _rows=rows, _cols=cols, _wrap=wrap)  # past Frozen.__setattr__
 
     def __repr__(self) -> str:
         return f"QuotientRing({self.m}, {self.n})"
-
-    def __eq__(self, other):
-        if not isinstance(other, QuotientRing):
-            return NotImplemented
-        return (self.m, self.n) == (other.m, other.n)
-
-    def __hash__(self):
-        return hash((QuotientRing, self.m, self.n))
 
     @property
     def size(self) -> int:

@@ -10,11 +10,12 @@ rows, so rows are computed on a band widened by them alone; the band
 margins below guarantee that every coefficient inside the window is exact.
 
 With q = 1 + T, squaring is the Frobenius map over GF(2), so 1/q is the
-product of the factors 1 + T(x^(2^k), y^(2^k)).  When q has in-row taps and
-the whole band fits PACKED_BAND_BITS, its rows sit a stride apart in one
-int and each factor is one shift and one XOR per tap on it.  Any other band
-is resolved row by row, applying the same identity in x alone to each
-nonzero row, and the row loop stops once the rows it keeps are all zero.
+product of the factors 1 + T(x^(2^k), y^(2^k)).  One kernel multiplies by
+them, each factor one shift and one XOR per tap that still keeps a cell in
+the band.  When q has in-row taps and the whole band fits PACKED_BAND_BITS,
+it runs once on the band's rows, a stride apart in one int; otherwise the
+row loop runs it on each nonzero row with the in-row taps alone, the same
+identity in x, and stops once the rows it keeps are all zero.
 """
 
 from __future__ import annotations
@@ -94,26 +95,30 @@ def expand_rows(num: PatternPoly, den: PatternPoly, window: Window) -> tuple[int
     # Series column i - u is bit i - u - lo; lo <= -u, so the shift is rightward.
     shifts = [(v - first, -(u + lo)) for u, v in shifts]
 
+    # With T = den - 1, 1/den = prod_k (1 + T(x^(2^k), y^(2^k))) over GF(2), and round k
+    # multiplies by factor k.  A tap x^a y^b takes part in the rounds k while its shifts
+    # a*2^k and b*2^k keep some cell in the band (|a*2^k| under its width, b*2^k under its
+    # live rows); in the later ones it moves every cell out.  The row loop's rounds hold the
+    # in-row taps alone.
+    rounds = []
     if row_taps:
-        # With T = den - 1, 1/den = prod_k (1 + T(x^(2^k), y^(2^k))) over GF(2), and round k
-        # multiplies by factor k.  A tap x^a y^b takes part in the rounds k while its shifts
-        # a*2^k and b*2^k keep some cell in the band (|a*2^k| under its width, b*2^k under its
-        # live rows); in the later ones it moves every cell out.  With no lower tap only row 0 lives.
-        live = depth + 1 if lower_taps else 1
+        # with every lower tap at a > 0, series row j has no cell left of column j*min(a/b)
+        live = depth + 1
+        if all(a > 0 for a, _ in lower_taps):
+            live = min(live, max((hi * b // a + 1 for a, b in lower_taps), default=1))
         taps = [(a, 0) for a in row_taps] + lower_taps
         counts = [min(((size - 1) // step).bit_length() for step, size in ((abs(a), width), (b, live)) if step)
                   for a, b in taps]
         # Rows sit a stride apart in one int: it leaves room for the largest x-shift, so no cell
         # crosses into the next row, and whole bytes, so the rows split out of one to_bytes pass.
         stride = (width + max((abs(a) << c - 1 for (a, _), c in zip(taps, counts) if c), default=0) + 7) & -8
-        if max(live, height) * stride <= PACKED_BAND_BITS:
-            packed = [(a + b * stride, c) for (a, b), c in zip(taps, counts) if c]  # a + b*stride > 0
-            return first, _expand_packed(packed, stride, live, lo, mask, keep, shifts, height)
+        if max(live, height) * stride <= PACKED_BAND_BITS:  # x^a y^b is the shift a + b*stride > 0
+            rounds = _rounds([(a + b * stride, c) for (a, b), c in zip(taps, counts)])
+            return first, _expand_packed(rounds, stride, live, lo, mask, keep, shifts, height)
+        rounds = _rounds(list(zip(row_taps, counts)))
 
     out = []
     rows = [0] * kept  # series row j is rows[j % kept]
-    min_tap = min(row_taps, default=width)
-    rounds = [[a << k for a in row_taps] for k in range(((width - 1) // min_tap).bit_length())]
     grow_at = -top  # the first row j whose window row j + top is not in out yet
     for j in range(depth + 1):
         acc = (1 << -lo) if j == 0 else 0  # seed: coefficient 1 at (0, 0)
@@ -126,13 +131,8 @@ def expand_rows(num: PatternPoly, den: PatternPoly, window: Window) -> tuple[int
             if any(rows):
                 continue
             break  # rows j - kept + 1 .. j are zero, so every later row is too
-        # The packed product in x alone: with T the in-row taps, the row is acc / (1 + T), and
-        # 1 / (1 + T) = prod_k (1 + T(x^(2^k))) mod x^width; rounds[k] holds the exponents of T(x^(2^k)).
-        for taps in rounds:
-            term = 0
-            for a in taps:
-                term ^= acc << a
-            acc = (acc ^ term) & mask
+        if rounds:  # with T the in-row taps, the row is acc / (1 + T) = acc * prod_k (1 + T(x^(2^k)))
+            acc = _frobenius(acc, rounds, mask)
         rows[j % kept] = acc
         if j >= grow_at:  # make room for this row's window rows: double the list, 1024 rows at first
             if (written := min(j + top, height - 1) + 1) * 64 > MAX_BOX_BITS:  # a list slot counted as 64 bits
@@ -146,25 +146,31 @@ def expand_rows(num: PatternPoly, den: PatternPoly, window: Window) -> tuple[int
     return first, out
 
 
-def _expand_packed(taps, stride, live, lo, mask, keep, shifts, height) -> list[int]:
-    # expand_rows on rows 0..live-1 of the band at once, each a stride apart in one int;
-    # taps holds (shift, count) pairs: shift << k in the rounds k < count
+def _rounds(taps) -> list[list[int]]:
+    # the shifts of round k: shift << k for each (shift, count) of taps with k < count
+    return [[shift << k for shift, count in taps if k < count] for k in range(max([c for _, c in taps], default=0))]
+
+
+def _frobenius(acc: int, rounds: list[list[int]], mask: int) -> int:
+    # acc times the factor 1 + sum(x^shift for shift in round) of each round, masked after each
+    for shifts in rounds:
+        term = 0
+        for shift in shifts:
+            term ^= acc << shift
+        acc = (acc ^ term) & mask
+    return acc
+
+
+def _expand_packed(rounds, stride, live, lo, mask, keep, shifts, height) -> list[int]:
+    # expand_rows on rows 0..live-1 of the band at once, each a stride apart in one int
     size = stride // 8
     band = int.from_bytes(mask.to_bytes(size, "little") * live, "little")  # live copies of mask
-    acc = 1 << -lo  # seed: coefficient 1 at (0, 0)
-    for k in range(max((c for _, c in taps), default=0)):
-        term = 0
-        for shift, count in taps:
-            if k < count:
-                term ^= acc << (shift << k)
-        acc = (acc ^ term) & band
+    acc = _frobenius(1 << -lo, rounds, band)  # seed: coefficient 1 at (0, 0)
     out = 0
     for v, right in shifts:  # series row j is window row j + v, its column i - u window column i
         shift = v * stride - right
         out ^= acc << shift if shift >= 0 else acc >> -shift
     rows = min(height, -(-out.bit_length() // stride))
-    if rows <= 1:  # a single row needs no split
-        return [out & keep]
     return _unpack(out & int.from_bytes(keep.to_bytes(size, "little") * rows, "little"), size, rows)
 
 

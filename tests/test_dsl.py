@@ -191,6 +191,12 @@ def test_print_parse_round_trip_fixed():
         assert parse(expr.to_text()) == expr
 
 
+def test_the_zero_polynomial_prints_as_one_plus_one():
+    expr = PatternExpr((Term(PatternPoly()),))
+    assert expr.to_text() == "(1+1)"
+    assert parse("(1+1)") == expr and not parse("(1+1)").terms[0].numerator
+
+
 def test_print_parse_round_trip_randomized():
     rng = random.Random(47)
     for _ in range(100):

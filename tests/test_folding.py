@@ -39,6 +39,12 @@ def test_fold_diagonal_needs_coprime_dims():
         fold(BitSeq("01010101"), 2, 4, "diagonal")
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (-1, -1)])
+def test_fold_needs_positive_dims(rows, cols):
+    with pytest.raises(ValueError, match="rows and cols must be positive"):
+        fold(BitSeq(""), rows, cols, "row_major")
+
+
 def test_fold_unknown_scheme():
     with pytest.raises(ValueError, match="scheme"):
         fold(BitSeq("01"), 1, 2, "spiral")

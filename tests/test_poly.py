@@ -144,6 +144,15 @@ def test_window_validation():
     assert (w.width, w.height) == (5, 4)
 
 
+@pytest.mark.parametrize("other", [1, "x", None])
+def test_sum_and_product_take_only_polynomials(other):
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(TypeError):
+            op(X, other)
+        with pytest.raises(TypeError):
+            op(other, X)
+
+
 def test_poly_rejects_bad_monomials():
     with pytest.raises(TypeError):
         PatternPoly([(0.5, 1)])

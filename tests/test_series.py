@@ -317,6 +317,9 @@ CASES = {
     "in_row_steps_pass_band": ((1, 4), (7, 12), (1, 4), (0, 3), (-3, 3), (1, 5), 40),
     # in-row taps beside Laurent lower taps, which widen the band
     "in_row_laurent": ((1, 4), (-4, -1), (1, 3), (-10, 20), (-3, 20), (1, 5), 40),
+    # in-row taps beside lower taps whose x-steps pass the window: the band keeps only the rows
+    # j with j*min(a/b) inside it, and the rows below them are zero
+    "in_row_rows_die": ((1, 4), (8, 45), (1, 3), (-3, 3), (-3, 20), (1, 5), 40),
 }
 # the band widths, in bits, of the cases whose window is sized from their band
 BAND_WIDTHS = {
@@ -354,7 +357,8 @@ def test_both_sides_of_the_packed_band_budget_match_the_reference(monkeypatch):
     # product, any other row by row.  The budgets below put each term's band under some of
     # them and over the rest, from none packed (0) to all packed.
     rng = random.Random("97-budget")
-    cases = ["in_row_band_8", "in_row_band_64", "in_row_band_128", "in_row_steps_pass_band", "in_row_laurent"]
+    cases = ["in_row_band_8", "in_row_band_64", "in_row_band_128", "in_row_steps_pass_band", "in_row_laurent",
+             "in_row_rows_die"]
     terms = [random_term(rng, case) for case in cases for _ in range(6)]
     wants = [reference_expand(t.numerator, t.denominator, w) for t, w in terms]
     for bits in [0] + [1 << k for k in range(6, 18)] + [1 << 40]:

@@ -1,11 +1,18 @@
 """The contract of the small value classes: construction, defaults,
 validation, equality, hashing, repr text and immutability."""
 
+import importlib
+import pkgutil
+
 import pytest
 
+import polyplane
 from polyplane.dsl import PatternExpr, Term, Token, parse
-from polyplane.poly import ONE, X, Y, PatternPoly, Window
+from polyplane.folding import BitGrid
+from polyplane.poly import ONE, X, Y, Frozen, PatternPoly, Window
 from polyplane.render import Perspective, RenderConfig
+from polyplane.ring import QuotientRing
+from polyplane.sequences import BitSeq
 from polyplane.series import RationalTerm
 
 DEN = ONE + X + Y
@@ -132,7 +139,26 @@ def _values():
         (PatternExpr((Term(X),)), PatternExpr((Term(X, pos=3),)), PatternExpr((Term(Y),))),
         (Perspective(0.5), Perspective(0.5, 1.0), Perspective(1.0, 0.5)),
         (RenderConfig(), RenderConfig("#", "."), RenderConfig(cell=2.0)),
+        (QuotientRing(3, 5), QuotientRing(m=3, n=5), QuotientRing(5, 3)),
     ]
+
+
+# value classes keyed on stored rows or text rather than on their constructor's arguments,
+# tested in tests/test_poly.py, tests/test_sequences.py and tests/test_folding.py
+OWN_TESTS = [PatternPoly, BitSeq, BitGrid]
+
+
+def test_every_value_class_is_in_the_value_tests():
+    for module in pkgutil.iter_modules(polyplane.__path__):
+        if module.name != "__main__":
+            importlib.import_module(f"polyplane.{module.name}")
+    classes, stack = set(), [Frozen]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            if cls.__module__.startswith("polyplane.") and cls not in classes:
+                classes.add(cls)
+                stack.append(cls)
+    assert classes - {type(a) for a, _, _ in _values()} - set(OWN_TESTS) == set()
 
 
 @pytest.mark.parametrize("a, b, c", _values(), ids=lambda v: type(v).__name__)
@@ -150,6 +176,7 @@ def test_a_class_never_equals_another_class_with_the_same_fields():
     assert Window(3, 4) != (3, 4, "window")
     assert Perspective(0.5, 0.5) != (0.5, 0.5)
     assert Token("int", 1, 0) != ("int", 1, 0)
+    assert QuotientRing(3, 5) != (3, 5)
 
 
 def test_repr_text():
@@ -172,6 +199,10 @@ def test_repr_text():
     assert repr(RenderConfig(glyph_on="@", perspective=Perspective(0.5))) == (
         "RenderConfig(glyph_on='@', glyph_off='.', origin='top_left', cell=16.0, "
         "perspective=Perspective(rx=0.5, ry=1.0))")
+    assert repr(QuotientRing(3, 5)) == "QuotientRing(3, 5)"
+    assert repr(BitSeq("0110")) == "BitSeq('0110')"
+    assert repr(BitSeq("0110", period_hint=3)) == "BitSeq('0110', period_hint=3)"
+    assert repr(BitGrid(["011", "100"])) == "BitGrid(['011', '100'])"
 
 
 @pytest.mark.parametrize("value, field", [
@@ -182,6 +213,7 @@ def test_repr_text():
     (PatternExpr(()), "terms"),
     (Perspective(), "rx"),
     (RenderConfig(), "cell"), (RenderConfig(), "perspective"),
+    (QuotientRing(3, 5), "m"), (QuotientRing(3, 5), "n"),
 ], ids=lambda v: type(v).__name__ if not isinstance(v, str) else v)
 def test_fields_cannot_be_assigned_or_deleted(value, field):
     before = repr(value)
