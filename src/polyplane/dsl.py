@@ -13,18 +13,20 @@ atoms is optional ("xy^2" equals "x*y^2"), and a parenthesized
 expression used as an atom must be a plain polynomial: division does not
 nest.  Digits are ASCII.  Error messages carry 0-based character offsets.
 
-Evaluation on a window is mode-dependent.  In window mode every term
-num/den expands as a power series truncated to the rectangle.  In wrap
-mode the grid is the (m+1) x (n+1) torus and division multiplies by the
-ring inverse of the denominator, an operation that succeeds exactly for
-unit denominators.
+Evaluation on a window is one pass over the terms, in either mode.  A
+plain term is cut to the rectangle (window mode) or folded onto the
+(m+1) x (n+1) torus (wrap mode) before the plain terms are added, once.
+In window mode every quotient num/den expands as a power series
+truncated to the rectangle, added to the plain sum row by row.  In wrap
+mode division multiplies by the ring inverse of the denominator, an
+operation that succeeds exactly for unit denominators.
 """
 
 from __future__ import annotations
 
-from .poly import ONE, Frozen, PatternPoly, Window
+from .poly import ONE, Frozen, PatternPoly, Window, poly_sum
 from .ring import QuotientRing
-from .series import RationalTerm, eval_sum
+from .series import Term, check_denominator, eval_sum
 
 
 class ParseError(ValueError):
@@ -77,26 +79,6 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-class Term(Frozen):
-    """One summand: a polynomial, optionally divided by another.
-
-    ``pos`` and ``div_pos`` are the offsets of the term and of its '/' in
-    the source text; ``==`` and ``hash`` ignore them.
-    """
-
-    __slots__ = __match_args__ = ("numerator", "denominator", "pos", "div_pos")
-
-    def __init__(self, numerator: PatternPoly, denominator: PatternPoly | None = None,
-                 pos: int = 0, div_pos: int | None = None):
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "pos", pos)
-        object.__setattr__(self, "div_pos", div_pos)
-
-    def _key(self) -> tuple:
-        return (self.numerator, self.denominator)
-
-
 class PatternExpr(Frozen):
     """A parsed sum of rational terms."""
 
@@ -127,12 +109,10 @@ def _term_to_text(t: Term) -> str:
 
 def _plain_sum(terms) -> PatternPoly:
     # the sum of division-free terms; ParseError at the '/' of the first other one
-    total = PatternPoly()
     for t in terms:
         if t.denominator is not None:
             raise ParseError("nested division", t.div_pos)
-        total = total + t.numerator
-    return total
+    return poly_sum(t.numerator for t in terms)
 
 
 class _Parser:
@@ -227,26 +207,21 @@ def parse_poly(text: str) -> PatternPoly:
 
 def evaluate(expr: PatternExpr, window: Window) -> PatternPoly:
     """Evaluate a parsed expression on a window, honoring its mode."""
-    if window.mode == "wrap":
-        ring = QuotientRing(window.m + 1, window.n + 1)
-        acc = PatternPoly()
-        for idx, t in enumerate(expr.terms):
-            numerator = ring.reduce(t.numerator)
-            if t.denominator is None:
-                acc = acc + numerator
-                continue
-            inverse = ring.inverse(t.denominator)
-            if inverse is None:
-                raise ValueError(
-                    f"term {idx + 1} ({_term_to_text(t)}): denominator is not invertible "
-                    f"on the {ring.m}x{ring.n} torus"
-                )
-            acc = acc + ring.mul(numerator, inverse)
-        return acc
-    rationals = []
+    ring = QuotientRing(window.m + 1, window.n + 1) if window.mode == "wrap" else None
+    plain, quotients = [], []  # wrap mode adds each quotient's residue to the plain terms
     for idx, t in enumerate(expr.terms):
         try:
-            rationals.append(RationalTerm(t.numerator, t.denominator if t.denominator is not None else ONE))
+            if t.denominator is None:  # cut to the grid first, so that far-apart terms are never summed whole
+                plain.append(t.numerator.truncate(window) if ring is None else ring.reduce(t.numerator))
+            elif ring is None:
+                check_denominator(t.denominator)
+                quotients.append(t)
+            elif (inverse := ring.inverse(t.denominator)) is None:
+                raise ValueError(f"denominator is not invertible on the {ring.m}x{ring.n} torus")
+            else:
+                plain.append(ring.mul(t.numerator, inverse))
         except ValueError as exc:
             raise ValueError(f"term {idx + 1} ({_term_to_text(t)}): {exc}") from None
-    return eval_sum(rationals, window)
+    if ring is not None:
+        return poly_sum(plain)
+    return eval_sum(quotients + [Term(poly_sum(plain))] if plain else quotients, window)

@@ -181,9 +181,15 @@ class PatternPoly(Frozen):
             x0, y0 = min(xs), min(ys)
             cols, height = max(xs) - x0 + 1, max(ys) - y0 + 1
             _check_box(cols, height)
-            rows = [0] * height
+            by_row = {}
             for i, j in cells:
-                rows[j - y0] |= 1 << i - x0
+                by_row.setdefault(j - y0, []).append(i - x0)
+            rows = [0] * height
+            for k, xs in by_row.items():  # each row's bits set in bytes, then read as one int
+                data = bytearray((max(xs) >> 3) + 1)
+                for i in xs:
+                    data[i >> 3] |= 1 << (i & 7)
+                rows[k] = int.from_bytes(data, "little")
         _init(self, x0, y0, tuple(rows), cols, cells)
 
     @staticmethod
@@ -322,6 +328,15 @@ class PatternPoly(Frozen):
 
     def __repr__(self) -> str:
         return f"PatternPoly({str(self)!r})"
+
+
+def poly_sum(polys: Iterable[PatternPoly]) -> PatternPoly:
+    """The GF(2) sum of the polynomials: sorted by first row and column, neighbours added in pairs,
+    level by level, so each level costs about the width they span, not that width once per term."""
+    polys = sorted(polys, key=lambda p: (p.y0, p.x0))
+    while len(polys) > 1:
+        polys = [a + b for a, b in zip(polys[::2], polys[1::2])] + polys[len(polys) & ~1 :]
+    return polys[0] if polys else ZERO
 
 
 def _pack(rows: tuple, size: int) -> int:

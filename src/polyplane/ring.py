@@ -25,11 +25,21 @@ from math import lcm
 from operator import xor
 
 from .numtheory import carryless_power, carryless_product, least_divisor, order_of_two, prime_factors
-from .poly import Frozen, PatternPoly, diag_key, set_bits
+from .poly import MAX_BOX_BITS, Frozen, PatternPoly, diag_key, set_bits
 
 MAX_TABLE_CELLS = 64  # m*n bound for mul_table
+MAX_GAUSS_CELLS = 1936  # m*n bound for inverse and annihilator: 1.2 s for a dense 44x44 element (2 cores, Python 3.11)
 MAX_ENUM_BITS = 24  # m*n bound for enumerate_nonzero
 MAX_FIELD_DEGREE = 1024  # bound for order on L = ord_lcm(m',n')(2), see _exponent
+
+
+def _every_row(row: int, stride: int, rows: int) -> int:
+    # row copied to every row of the layout: the copies double each step, in time linear in its size
+    out, step = row, stride
+    while step < rows.bit_length():
+        out |= out << step
+        step *= 2
+    return out & rows
 
 
 class QuotientRing(Frozen):
@@ -41,10 +51,11 @@ class QuotientRing(Frozen):
         if m < 1 or n < 1:
             raise ValueError("moduli must be positive")
         stride = 2 * m - 1
+        if n * stride > MAX_BOX_BITS:
+            raise ValueError(f"torus too large: a residue packs into {n * stride} bits, over {MAX_BOX_BITS}")
         rows = (1 << n * stride) - 1  # the rows 0..n-1 of the packed layout
-        cell_column = rows // ((1 << stride) - 1)  # bit 0 of every row
-        cols = cell_column * ((1 << m) - 1)  # columns 0..m-1 of every row
-        wrap = cell_column * ((1 << m - 1) - 1)  # columns 0..m-2
+        cols = _every_row((1 << m) - 1, stride, rows)  # columns 0..m-1 of every row
+        wrap = _every_row((1 << m - 1) - 1, stride, rows)  # columns 0..m-2
         vars(self).update(m=m, n=n, _stride=stride, _rows=rows, _cols=cols, _wrap=wrap)  # past Frozen.__setattr__
 
     def __repr__(self) -> str:
@@ -176,6 +187,8 @@ class QuotientRing(Frozen):
     def _gauss(self, a: PatternPoly) -> tuple[list[int], list[int], int]:
         # Gauss-Jordan on the multiplication matrix augmented (bit N) with
         # the coordinates of 1; returns (reduced rows, pivot columns, N).
+        if self.m * self.n > MAX_GAUSS_CELLS:
+            raise ValueError(f"elimination too large: m*n must be at most {MAX_GAUSS_CELLS}")
         n_cols = len(self.basis)
         rows = self._mul_matrix(a)
         rows[0] |= 1 << n_cols  # basis[0] is (0, 0), the coordinate vector of 1
@@ -194,7 +207,7 @@ class QuotientRing(Frozen):
         return rows, pivots, n_cols
 
     def inverse(self, a: PatternPoly) -> PatternPoly | None:
-        """Multiplicative inverse, or None when a is not a unit."""
+        """Multiplicative inverse, or None when a is not a unit.  Guarded to m*n <= MAX_GAUSS_CELLS."""
         a = self.reduce(a)
         rows, pivots, n_cols = self._gauss(a)
         if len(pivots) < n_cols:
@@ -209,7 +222,8 @@ class QuotientRing(Frozen):
         """A nonzero b with a*b = 0, or None when a is a unit.
 
         Taken from the null space of the multiplication matrix, so it
-        exists for every zero divisor (and for 0 itself).
+        exists for every zero divisor (and for 0 itself).  Guarded to
+        m*n <= MAX_GAUSS_CELLS, as :meth:`inverse` is.
         """
         a = self.reduce(a)
         rows, pivots, n_cols = self._gauss(a)

@@ -38,20 +38,36 @@ def check_denominator(q: PatternPoly) -> None:
             )
 
 
-class RationalTerm(Frozen):
-    """A fraction numerator/denominator of GF(2) polynomials.
+class Term(Frozen):
+    """One summand: a polynomial, divided by another unless the denominator is None.
 
-    The numerator may use Laurent exponents; the denominator must be
-    admissible (see :func:`check_denominator`), which is validated on
-    construction.
+    ``pos`` and ``div_pos`` are the offsets of the term and of its '/' in
+    the source text; ``==`` and ``hash`` ignore them.
     """
 
-    __slots__ = __match_args__ = ("numerator", "denominator")
+    __slots__ = __match_args__ = ("numerator", "denominator", "pos", "div_pos")
+
+    def __init__(self, numerator: PatternPoly, denominator: PatternPoly | None = None,
+                 pos: int = 0, div_pos: int | None = None):
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "div_pos", div_pos)
+
+    def _key(self) -> tuple:
+        return (self.numerator, self.denominator)
+
+
+class RationalTerm(Term):
+    """A :class:`Term` whose denominator is given and admissible (see :func:`check_denominator`),
+    which is validated on construction.  The numerator may use Laurent exponents."""
+
+    __slots__ = ()
+    __match_args__ = ("numerator", "denominator")
 
     def __init__(self, numerator: PatternPoly, denominator: PatternPoly):
         check_denominator(denominator)
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
+        super().__init__(numerator, denominator)
 
 
 PACKED_BAND_BITS = 1 << 18  # the largest band, rows times stride, that expand_rows resolves in one packed int
@@ -179,15 +195,17 @@ def reciprocal(q: PatternPoly, window: Window) -> PatternPoly:
     return eval_term(RationalTerm(ONE, q), window)
 
 
-def eval_term(term: RationalTerm, window: Window) -> PatternPoly:
-    """Expansion of numerator/denominator truncated to the window."""
+def eval_term(term: Term, window: Window) -> PatternPoly:
+    """Expansion of numerator/denominator (admissible) truncated to the window; without one, the numerator's."""
     if window.mode != "window":
         raise ValueError("eval_term needs a window-mode Window; wrap-mode division is a ring operation")
+    if term.denominator is None:
+        return term.numerator.truncate(window)
     first, rows = expand_rows(term.numerator, term.denominator, window)
     return PatternPoly._make(0, first, rows)
 
 
-def eval_sum(terms: Iterable[RationalTerm], window: Window) -> PatternPoly:
+def eval_sum(terms: Iterable[Term], window: Window) -> PatternPoly:
     """GF(2) sum of the expansions of all terms, added row by row into one buffer."""
     polys = [p for p in (eval_term(term, window) for term in terms) if p]  # cells in the window: x0, y0 >= 0
     if not polys:

@@ -1,6 +1,7 @@
 import argparse
 import io
 import os
+import random
 import subprocess
 import sys
 import time
@@ -247,6 +248,39 @@ def test_a_tall_window_writes_only_its_live_rows():
     want = "+".join(["1", "y"] + [f"y^{k}" for k in range(2, 20001)]) + "\n"
     assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
     assert seconds < 2.0
+
+
+def test_a_sum_of_monomials_spread_over_a_wide_row_is_added_once():
+    # 300 plain terms over 2^27 columns are cut to the window and summed once, not each expanded
+    # as a series over the whole row: that took 22 s on 2 cores with Python 3.11.7
+    rng = random.Random(300)
+    exponents = [rng.randrange(1 << 27) for _ in range(300)]
+    lit = sorted({e for e in exponents if exponents.count(e) % 2})
+    want = "+".join("1" if e == 0 else "x" if e == 1 else f"x^{e}" for e in lit) + "\n"
+    expr = " + ".join(f"x^{e}" for e in exponents)
+    done, seconds = run_capped(["expand", "--expr", expr, "--grid", "134217727x0", "--format", "terms"])
+    assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
+    assert seconds < 2.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--mod", "100000,100000"], ["invert", "--element", "1", "--mod", "100000,100000"],
+    ["order", "--element", "1+x", "--mod", "100000,100000"],
+    ["expand", "--mode", "wrap", "--grid", "99999x99999", "--expr", "1+x"],
+    ["render", "--mode", "wrap", "--grid", "99999x99999", "--expr", "1+x"],
+])
+def test_a_torus_too_large_to_pack_is_a_domain_error(argv, capsys):
+    # refused before any mask of its 2 * 10^10 bits is built
+    assert run(argv) == 1
+    want = "error: torus too large: a residue packs into 19999900000 bits, over 268435456\n"
+    assert capsys.readouterr() == ("", want)
+
+
+def test_a_torus_too_large_to_eliminate_on_is_a_domain_error(capsys):
+    assert run(["invert", "--element", "1+x+y", "--mod", "300,300"]) == 1
+    assert capsys.readouterr() == ("", "error: elimination too large: m*n must be at most 1936\n")
+    assert run(["expand", "--mode", "wrap", "--grid", "299x299", "--expr", "x+1/(1+x)"]) == 1
+    assert capsys.readouterr() == ("", "error: term 2 (1/(1+x)): elimination too large: m*n must be at most 1936\n")
 
 
 def test_a_large_window_whose_band_keeps_few_rows_still_expands(capsys):

@@ -1,10 +1,12 @@
-"""PatternPoly and the torus ring against oracles that share no code with them.
+"""PatternPoly, the torus ring and expression evaluation against oracles that share no code with them.
 
 Polynomial arithmetic is checked against sympy's GF(2) polynomials, with
 Laurent supports shifted to nonnegative exponents; reduction against a
 set-based fold; and inverse and annihilator against a set-based copy of
 the Gauss-Jordan elimination they are defined by, on every element of
-every torus with m*n <= 12.
+every torus with m*n <= 12.  Evaluation is checked term by term: in window
+mode against the bit-by-bit series of tests/test_series.py and a cell
+filter, in wrap mode against the set-based fold and elimination.
 """
 
 from itertools import product
@@ -13,8 +15,11 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from polyplane.poly import PatternPoly, Window, diag_key
+from polyplane.dsl import PatternExpr, Term, evaluate, parse
+from polyplane.poly import ONE, ZERO, PatternPoly, Window, diag_key
 from polyplane.ring import QuotientRing
+from polyplane.series import check_denominator
+from test_series import reference_expand
 
 SX, SY = sympy.symbols("x y")
 LOW = 6  # exponents drawn from [-LOW, LOW]; shifting by LOW makes them nonnegative
@@ -97,6 +102,21 @@ def test_from_rows_equals_the_cell_set(lead, rows, dx, dy):
     assert p.support == cells
 
 
+# columns near the origin or up to 2^22 away, so that a row can be millions of bits wide
+wide_cells = st.frozensets(st.tuples(st.integers(-LOW, LOW) | st.integers(-(1 << 22), 1 << 22),
+                                     st.integers(-LOW, LOW)), max_size=14)
+
+
+@settings(max_examples=60)
+@given(wide_cells)
+def test_cells_build_the_rows_of_from_rows(cells):
+    rows, x0, y0 = [0] * (2 * LOW + 1), min((i for i, _ in cells), default=0), -LOW
+    for i, j in cells:
+        rows[j - y0] |= 1 << i - x0  # the cells' bits set one at a time
+    p = PatternPoly(cells)
+    assert p == PatternPoly.from_rows(rows).shift(x0, y0) and p.support == cells
+
+
 def set_reduce(support, m, n):
     residue = set()
     for i, j in support:
@@ -158,3 +178,78 @@ def test_inverse_and_annihilator_match_the_reference_on_every_small_torus():
             assert (got and got.support) == inverse, (m, n, element)
             got = ring.annihilator(element)
             assert (got and got.support) == annihilator, (m, n, element)
+
+
+def set_mul(a, b, m, n):
+    out = set()
+    for i, j in a:
+        for k, l in b:
+            out ^= {((i + k) % m, (j + l) % n)}
+    return out
+
+
+near = st.integers(-3, 5)
+far = st.sampled_from([-300000000, -70000, 70000, 300000000])  # far left, right, above or below the grid
+plain_terms = st.one_of(st.frozensets(st.tuples(near, near), min_size=1, max_size=4),
+                        st.tuples(near | far, near | far).map(lambda cell: {cell}))
+
+
+@st.composite
+def quotient_terms(draw):
+    numerator = draw(st.frozensets(st.tuples(near, near), min_size=1, max_size=3))
+    taps = draw(st.frozensets(st.tuples(st.integers(-2, 3), st.integers(-1, 2)), min_size=1, max_size=3))
+    if draw(st.integers(0, 3)):  # mostly admissible: a constant term and taps after it in the (y, x) grading
+        taps = {(0, 0)} | {(a, b) for a, b in taps if b > 0 or (b == 0 and a > 0)}
+    return Term(PatternPoly(numerator), PatternPoly(taps))
+
+
+expressions = st.lists(plain_terms.map(lambda s: Term(PatternPoly(s))) | quotient_terms(), min_size=1, max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(expressions, st.integers(0, 4), st.integers(0, 4))
+def test_evaluate_is_the_sum_of_its_terms_in_both_modes(terms, m, n):
+    expr, w, torus = PatternExpr(tuple(terms)), Window(m, n), QuotientRing(m + 1, n + 1)
+    prefixes = [f"term {k} ({PatternExpr((t,)).to_text()}): " for k, t in enumerate(terms, 1)]
+
+    # window mode: each quotient's series, each plain numerator cut to the window
+    want, error = set(), None
+    for t, prefix in zip(terms, prefixes):
+        if t.denominator is None:
+            want ^= {(i, j) for i, j in t.numerator.support if 0 <= i <= m and 0 <= j <= n}
+            continue
+        try:
+            check_denominator(t.denominator)
+        except ValueError as exc:
+            error = error or prefix + str(exc)
+            continue
+        want ^= reference_expand(t.numerator, t.denominator, w).support
+    if error:
+        with pytest.raises(ValueError) as info:
+            evaluate(expr, w)
+        assert str(info.value) == error
+    else:
+        assert evaluate(expr, w).support == want
+
+    # wrap mode: each numerator folded onto the torus, times the inverse of its denominator
+    want, error = set(), None
+    for t, prefix in zip(terms, prefixes):
+        inverse = {(0, 0)} if t.denominator is None else reference_solve(torus, t.denominator.support)[0]
+        if inverse is None:
+            error = error or prefix + f"denominator is not invertible on the {m + 1}x{n + 1} torus"
+            continue
+        want ^= set_mul(set_reduce(t.numerator.support, m + 1, n + 1), inverse, m + 1, n + 1)
+    if error:
+        with pytest.raises(ValueError) as info:
+            evaluate(expr, Window(m, n, "wrap"))
+        assert str(info.value) == error
+    else:
+        assert evaluate(expr, Window(m, n, "wrap")).support == want
+
+
+def test_a_plain_term_far_off_the_grid_is_cut_or_folded_before_the_sum():
+    # summed whole, x^-300000000 + 1 would span 3*10^8 columns, over the bound of a polynomial's box
+    expr = parse("x^-300000000 + 1")
+    assert evaluate(expr, Window(2, 2)) == ONE
+    assert evaluate(expr, Window(2, 2, "wrap")) == ZERO
+    assert evaluate(parse("x^-300000000"), Window(2, 2)) == ZERO

@@ -4,8 +4,9 @@ from itertools import product
 
 import pytest
 
-from polyplane.dsl import parse_poly as P
-from polyplane.poly import ONE, X, ZERO, PatternPoly
+from polyplane import ring
+from polyplane.dsl import evaluate, parse, parse_poly as P
+from polyplane.poly import ONE, X, ZERO, PatternPoly, Window
 from polyplane.ring import MAX_FIELD_DEGREE, QuotientRing
 
 R33 = QuotientRing(3, 3)
@@ -224,3 +225,32 @@ def test_ring_validation():
     with pytest.raises(ValueError):
         QuotientRing(0, 3)
     assert QuotientRing(2, 3).size == 64
+
+
+def test_a_torus_is_refused_when_its_packed_residues_are_over_the_box_bound(monkeypatch):
+    # a residue of the m x n torus packs into n rows of 2m - 1 bits, checked before any mask is built
+    monkeypatch.setattr(ring, "MAX_BOX_BITS", 63)
+    assert QuotientRing(4, 9).mul(P("x^3"), P("x*y^9")) == ONE  # 9 rows of 7 bits: 63
+    assert QuotientRing(32, 1).reduce(P("x^33")) == X
+    for m, n, bits in ((4, 10, 70), (33, 1, 65), (1, 64, 64)):
+        with pytest.raises(ValueError) as info:
+            QuotientRing(m, n)
+        assert str(info.value) == f"torus too large: a residue packs into {bits} bits, over 63"
+
+
+def test_elimination_is_refused_above_its_bound(monkeypatch):
+    # inverse and annihilator solve an (m*n)-square system, checked before the matrix is built
+    monkeypatch.setattr(ring, "MAX_GAUSS_CELLS", 12)
+    assert QuotientRing(3, 4).inverse(P("1+x+y")) is not None
+    line = QuotientRing(12, 1)
+    assert line.mul(line.annihilator(P("1+x")), P("1+x")) == ZERO != line.annihilator(P("1+x"))
+    for torus, call in ((QuotientRing(13, 1), "inverse"), (QuotientRing(2, 7), "annihilator"),
+                        (QuotientRing(2, 7), "is_invertible")):
+        with pytest.raises(ValueError) as info:
+            getattr(torus, call)(P("1+x"))
+        assert str(info.value) == "elimination too large: m*n must be at most 12"
+    # wrap-mode division reports it for the term it divides by; plain terms need no elimination
+    with pytest.raises(ValueError) as info:
+        evaluate(parse("x + y/(1+x)"), Window(3, 3, "wrap"))
+    assert str(info.value) == "term 2 (y/(1+x)): elimination too large: m*n must be at most 12"
+    assert evaluate(parse("x + y^5"), Window(3, 3, "wrap")) == P("x+y")

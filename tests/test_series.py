@@ -15,7 +15,7 @@ import pytest
 from polyplane.dsl import parse_poly as P
 from polyplane.poly import ONE, ZERO, PatternPoly, Window
 from polyplane import poly, series
-from polyplane.series import RationalTerm, check_denominator, eval_sum, eval_term, expand_rows, reciprocal
+from polyplane.series import RationalTerm, Term, check_denominator, eval_sum, eval_term, expand_rows, reciprocal
 
 
 def binom_parity(n, k):
@@ -31,6 +31,12 @@ def rand_admissible(rng, max_terms=5):
         else:
             support.add((rng.randint(0, 4), rng.randint(1, 3)))
     return PatternPoly(support)
+
+
+def test_a_term_without_a_denominator_is_its_numerator_truncated():
+    num = P("1+x^9+x^-1*y+x^2*y^3+y^4")
+    assert eval_term(Term(num), Window(4, 3)) == P("1+x^2*y^3")
+    assert eval_sum([Term(num), RationalTerm(ONE, P("1+x")), Term(P("1"))], Window(4, 3)) == P("1+x+x^2+x^3+x^4+x^2*y^3")
 
 
 # -- reciprocal ------------------------------------------------------------

@@ -41,6 +41,8 @@ def test_window_validation(args, message):
 def test_rational_term_construction():
     t = RationalTerm(X, DEN)
     assert (t.numerator, t.denominator) == (X, DEN)
+    # one term type: the parser's Term is the series' Term, and RationalTerm is a Term
+    assert Term is polyplane.series.Term and isinstance(t, Term) and (t.pos, t.div_pos) == (0, None)
     assert RationalTerm(numerator=X, denominator=DEN) == t
     with pytest.raises(TypeError):
         RationalTerm(X)
