@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain error (reported on stderr), 2 usage
-error.  Nothing is written to stdout on failure.
+error.  Nothing is written to stdout on failure.  A rendered pattern is
+written part by part as its renderer makes the parts, every check having
+run before the first.
 """
 
 from __future__ import annotations
@@ -9,13 +11,15 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from collections.abc import Iterable
 from functools import cache
+from itertools import chain
 
 from .dsl import evaluate, parse, parse_poly
 from .folding import SCHEMES, fold
 from .ordering import ORDERINGS, decode, encode
 from .poly import PatternPoly, Window
-from .render import Perspective, RenderConfig, render_ascii, render_pbm, render_svg
+from .render import Perspective, RenderConfig, ascii_parts, pbm_parts, svg_parts
 from .ring import QuotientRing
 from .sequences import BitSeq, dseq, poly_reciprocal_seq
 
@@ -57,19 +61,19 @@ def _bits_arg(text: str) -> BitSeq:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _run_expand(args: argparse.Namespace) -> str | bytes:
+def _run_expand(args: argparse.Namespace) -> str | Iterable[str] | Iterable[bytes]:
     window = Window(*args.grid, args.mode)
     text = args.expr if args.expr is not None else sys.stdin.read()
     pattern = evaluate(parse(text), window)
     if args.format == "terms":
         return f"{pattern}\n"
     if args.format == "pbm":
-        return render_pbm(pattern, window)
+        return pbm_parts(pattern, window)
     config = RenderConfig(args.glyph_on, args.glyph_off, args.origin.replace("-", "_"), args.cell,
                           Perspective(args.rx, args.ry))
     if args.format == "ascii":
-        return render_ascii(pattern, window, config) + "\n"
-    return render_svg(pattern, window, config)
+        return chain(ascii_parts(pattern, window, config), ["\n"])
+    return svg_parts(pattern, window, config)
 
 
 def _run_table(args: argparse.Namespace) -> str:
@@ -187,12 +191,9 @@ def run(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if isinstance(output, bytes):
-        sys.stdout.buffer.write(output)
-        sys.stdout.buffer.flush()
-    else:
-        sys.stdout.write(output)
-        sys.stdout.flush()
+    for part in [output] if isinstance(output, str) else output:  # bytes parts go to the buffer
+        (sys.stdout.buffer if isinstance(part, bytes) else sys.stdout).write(part)
+    sys.stdout.flush()  # and the buffer under it
     return 0
 
 

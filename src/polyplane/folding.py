@@ -60,7 +60,8 @@ class BitGrid(Frozen):
         return len(self._lines[0])
 
     def __getitem__(self, r):
-        return self.cells[r]
+        # read from the lines: a tuple row for an index, a tuple of them for a slice, as from .cells
+        return tuple(map(bit_tuple, self._lines[r])) if isinstance(r, slice) else bit_tuple(self._lines[r])
 
     def _key(self) -> tuple:
         return self._lines

@@ -31,6 +31,7 @@ MAX_TABLE_CELLS = 64  # m*n bound for mul_table
 MAX_GAUSS_CELLS = 1936  # m*n bound for inverse and annihilator: 1.2 s for a dense 44x44 element (2 cores, Python 3.11)
 MAX_ENUM_BITS = 24  # m*n bound for enumerate_nonzero
 MAX_FIELD_DEGREE = 1024  # bound for order on L = ord_lcm(m',n')(2), see _exponent
+MAX_ORDER_BITS = 1 << 32  # bound for the bit steps of order: about 1.4 s at worst (2 cores, Python 3.11)
 
 
 def _every_row(row: int, stride: int, rows: int) -> int:
@@ -156,6 +157,13 @@ class QuotientRing(Frozen):
             raise ValueError("the zero element has no order")
         exponent, primes = self._exponent
         u = self._pack(a)
+        # A power squares and multiplies by u once per bit of N, which takes about one pass over the
+        # layout per term of u and one more; it takes a power per divisor test, one per prime of N (2
+        # as often as it divides N), and two more.
+        powers = 2 + len(primes) + (exponent & -exponent).bit_length() - 1
+        work = powers * exponent.bit_length() * self.n * self._stride * (1 + u.bit_count())
+        if work > MAX_ORDER_BITS:
+            raise ValueError(f"order too large: {work} bit steps are over {MAX_ORDER_BITS}")
         e = carryless_power(u, exponent, self._fold)
         if self._fold(carryless_product(e, u)) != u:
             raise ValueError(f"powers of {a} never return to it (nilpotent part)")

@@ -70,10 +70,11 @@ class BitSeq(Frozen):
         return len(self._text)
 
     def __getitem__(self, k):
-        return self.bits[k]
+        # read from the text: an int for an index, a tuple for a slice, as from .bits
+        return bit_tuple(self._text[k]) if isinstance(k, slice) else int(self._text[k])
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.bits)
+        return iter(self._text.encode().translate(BIT_VALUES))  # one byte a bit, 0 or 1
 
     def _key(self) -> str:
         return self._text  # the hint is metadata, not part of the value
@@ -87,23 +88,34 @@ class BitSeq(Frozen):
         return f"BitSeq({self._text!r}, period_hint={self.period_hint})"
 
 
+PERIOD_HEAD = 32  # the bits whose first recurrence period tries before the failure function
+
+
 def period(s: BitSeq) -> int:
     """Smallest t >= 1 with s[k] == s[k+t] wherever both indices exist."""
-    if len(s) == 0:
+    text = str(s)
+    n = len(text)
+    if n == 0:
         raise ValueError("empty sequence has no period")
+    # a period t <= n - PERIOD_HEAD puts the first PERIOD_HEAD bits at t, so the first place
+    # they recur is the least period if it is one at all
+    t = text.find(text[:PERIOD_HEAD], 1)
+    if t < 0:  # every period is over n - PERIOD_HEAD, and n is one
+        return next(t for t in range(max(n - PERIOD_HEAD + 1, 1), n + 1) if text[t:] == text[: n - t])
+    if text[t:] == text[: n - t]:
+        return t
     # the least period is n - fail[n], fail[k] being the length of the longest
-    # proper border of bits[:k] (Knuth, Morris & Pratt 1977); k holds fail[i]
-    bits = s.bits
-    fail = [0] * (len(bits) + 1)
+    # proper border of text[:k] (Knuth, Morris & Pratt 1977); k holds fail[i]
+    fail = [0] * (n + 1)
     k = 0
-    for i in range(1, len(bits)):
-        b = bits[i]
-        while k and bits[k] != b:
+    for i in range(1, n):
+        b = text[i]
+        while k and text[k] != b:
             k = fail[k]
-        if bits[k] == b:
+        if text[k] == b:
             k += 1
         fail[i + 1] = k
-    return len(bits) - k
+    return n - k
 
 
 def _is_odd_prime(p: int) -> bool:

@@ -70,6 +70,8 @@ class RationalTerm(Term):
         super().__init__(numerator, denominator)
 
 
+MAX_SERIES_BITS = 1 << 35  # the bits the row loop of expand_rows passes over: about 1 s (2 cores, Python 3.11)
+SERIES_ROW_BITS = 4096  # the least a pass counts: the loop's own work on a narrow band
 PACKED_BAND_BITS = 1 << 18  # the largest band, rows times stride, that expand_rows resolves in one packed int
 # A packed band holds at most PACKED_BAND_BITS // 8 window rows, so they are within the bound the row loop applies.
 assert PACKED_BAND_BITS // 8 * 64 <= MAX_BOX_BITS
@@ -133,10 +135,15 @@ def expand_rows(num: PatternPoly, den: PatternPoly, window: Window) -> tuple[int
             return first, _expand_packed(rounds, stride, live, lo, mask, keep, shifts, height)
         rounds = _rounds(list(zip(row_taps, counts)))
 
+    # A row takes a pass over the band per lower tap, per shift of each round and per round's mask,
+    # and about two more; a pass costs the band's width, or SERIES_ROW_BITS on a narrower band.
+    # The bound is on the rows beyond the window's height: the others are rows of output.
+    passes = 2 + len(lower_taps) + sum(map(len, rounds)) + len(rounds)
+    last = height - 1 + MAX_SERIES_BITS // (passes * max(width, SERIES_ROW_BITS))
     out = []
     rows = [0] * kept  # series row j is rows[j % kept]
     grow_at = -top  # the first row j whose window row j + top is not in out yet
-    for j in range(depth + 1):
+    for j in range(min(depth, last) + 1):
         acc = (1 << -lo) if j == 0 else 0  # seed: coefficient 1 at (0, 0)
         for a, b in lower_taps:  # rows[(j - b) % kept] is still 0 while j < b
             src = rows[(j - b) % kept]
@@ -158,6 +165,11 @@ def expand_rows(num: PatternPoly, den: PatternPoly, window: Window) -> tuple[int
         for v, right in shifts:
             if 0 <= j + v < height:
                 out[j + v] ^= acc >> right & keep
+    else:
+        if depth > last:
+            raise ValueError(f"series too deep: still live after {last + 1} of its {depth + 1} rows of {width} bits;"
+                             f" the {depth + 1 - height} beyond the window's height pass over more than"
+                             f" {MAX_SERIES_BITS} bits")
     del out[j + top + 1 :]  # rows no live series row reached
     return first, out
 

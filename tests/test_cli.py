@@ -489,3 +489,85 @@ def test_expand_drops_numerator_terms_outside_the_window(capsys):
                              ("x^2*y^-1/(1+x^-1*y)", "2x2", "x+y\n"), ("x^2*y/(1+x+y)", "2x1", "x^2*y\n")):
         assert run(["expand", "--expr", expr, "--grid", grid]) == 0
         assert capsys.readouterr() == (text, "")
+
+
+# -- streamed render output ------------------------------------------------
+
+
+class _Discard(io.RawIOBase):
+    """A writable raw stream that keeps only the count of bytes written."""
+
+    written = 0
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.written += len(data)
+        return len(data)
+
+
+@pytest.mark.parametrize("options", [
+    [], ["--origin", "bottom-left"], ["--glyph-on", "@", "--glyph-off", " "],
+    ["--rx", "0.9", "--ry", "0.8", "--cell", "3"], ["--origin", "bottom-left", "--rx", "0.5"],
+])
+@pytest.mark.parametrize("size", ["1x1", "7x5", "400x300", "70000x3"])  # the last two span several batches
+def test_render_prints_the_library_renderers_bytes(capsysbinary, options, size):
+    from polyplane import render
+    from polyplane.dsl import evaluate, parse
+    from polyplane.render import Perspective, RenderConfig
+
+    expr = "1/(1+x+y) + x^3/(1+x^-1*y+x*y)"
+    width, height = (int(v) for v in size.split("x"))
+    window = Window(width - 1, height - 1)
+    pattern = evaluate(parse(expr), window)
+    flags = dict(zip(options[::2], options[1::2]))
+    config = RenderConfig(flags.get("--glyph-on", "#"), flags.get("--glyph-off", "."),
+                          flags.get("--origin", "top-left").replace("-", "_"), float(flags.get("--cell", 16)),
+                          Perspective(float(flags.get("--rx", 1)), float(flags.get("--ry", 1))))
+    want = {
+        "ascii": (render.render_ascii(pattern, window, config) + "\n").encode(),
+        "pbm": render.render_pbm(pattern, window),
+        "svg": render.render_svg(pattern, window, config).encode(),
+    }
+    for fmt, data in want.items():
+        for command in ("render", "expand"):
+            assert run([command, "--expr", expr, "--size", size, "--format", fmt, *options]) == 0
+            assert capsysbinary.readouterr() == (data, b"")
+    assert len(want["svg"]) > 2 * render.BATCH_BYTES or width * height < 10**5
+
+
+@pytest.mark.parametrize("fmt, size", [("ascii", "2000x2000"), ("pbm", "1500x1500"), ("svg", "1000x1000")])
+def test_a_large_render_holds_a_bounded_part_of_its_output(monkeypatch, fmt, size):
+    # the parts are written as they are made: the peak follows the window's bits and one
+    # batch, not the 4-5 MB of text, which a whole document (and its encoding) would at least double
+    import tracemalloc
+
+    raw = _Discard()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8"))
+    tracemalloc.start()
+    try:
+        assert run(["render", "--expr", "1/(1+x+y) + x/(1+x^-1*y+x*y)", "--size", size, "--format", fmt]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert raw.written >= 3_500_000
+    assert peak < raw.written / 3
+
+
+def test_an_order_over_its_work_bound_is_refused_at_once():
+    done, seconds = run_capped(["order", "--element", "1+x+y", "--mod", "8191,16383"])
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: order too large:") and "Traceback" not in done.stderr
+    assert seconds < 2.0
+
+
+def test_a_series_still_live_far_above_the_window_is_refused():
+    done, seconds = run_capped(["expand", "--expr", "x*y^-300000000/(1+x^3*y+x^3*y^2+y)", "--grid", "10x10"])
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: series too deep:") and "Traceback" not in done.stderr
+    assert seconds < 2.0
+    # a series that dies at once is walked only as far as its live rows
+    done, seconds = run_capped(["expand", "--expr", "y^-100000000/(1+x*y)", "--grid", "10x10"])
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
+    assert seconds < 2.0

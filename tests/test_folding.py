@@ -100,3 +100,17 @@ def test_bitgrid_validation_and_text():
     assert (grid.rows, grid.cols) == (2, 2)
     assert grid[1] == (1, 0)
     assert grid == BitGrid([(0, 1), (1, 0)])
+
+
+def test_a_grid_row_is_read_from_its_text():
+    import tracemalloc
+
+    g = fold(BitSeq("01" * 500_000), 1000, 1000, "row_major")
+    tracemalloc.start()
+    try:
+        row = g[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row == (0, 1) * 500 and peak < 100_000 and g._cells is None  # the whole view is 8 MB
+    assert g[-1] == g.cells[-1] and g[1:3] == g.cells[1:3] and isinstance(g[1:3], tuple)

@@ -234,3 +234,19 @@ def test_renderers_match_per_cell_references():
         assert render_ascii(p, w, cfg) == reference_ascii(p, w, cfg)
         assert render_pbm(p, w) == reference_pbm(p, w)
         assert render_svg(p, w, cfg) == reference_svg(p, w, cfg)
+
+
+@pytest.mark.parametrize("batch", [1, 300, 5000])
+def test_renderers_match_per_cell_references_in_any_batch_size(monkeypatch, batch):
+    # the parts are cut at rows: one row a part (1), a few (300), or many, whatever the width
+    from polyplane import render
+
+    monkeypatch.setattr(render, "BATCH_BYTES", batch)
+    rng = random.Random(73)
+    for k, (w, p) in enumerate(_reference_cases(rng)):
+        if k % 5:
+            continue
+        cfg = RenderConfig("@", " ", rng.choice(["top_left", "bottom_left"]), 2.5, Perspective(0.9, 0.8))
+        assert render_ascii(p, w, cfg) == reference_ascii(p, w, cfg)
+        assert render_pbm(p, w) == reference_pbm(p, w)
+        assert render_svg(p, w, cfg) == reference_svg(p, w, cfg)

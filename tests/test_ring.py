@@ -254,3 +254,26 @@ def test_elimination_is_refused_above_its_bound(monkeypatch):
         evaluate(parse("x + y/(1+x)"), Window(3, 3, "wrap"))
     assert str(info.value) == "term 2 (y/(1+x)): elimination too large: m*n must be at most 12"
     assert evaluate(parse("x + y^5"), Window(3, 3, "wrap")) == P("x+y")
+
+
+def test_order_is_refused_above_its_work_bound(monkeypatch):
+    # (powers) * (bits of N) * n*(2m-1) * (1 + weight of the reduced element), checked before any product
+    cases = [
+        # 11x11: N = 2^10 - 1 = 3*11*31 takes 2 + 3 powers of 10 bits
+        (QuotientRing(11, 11), P("1+x+y"), 5 * 10 * 11 * 21 * 4, 1023),
+        # x^11*y^11 is 1 on this torus: the element reduces to x+y, of weight 2
+        (QuotientRing(11, 11), P("1+x+y+x^11*y^11"), 5 * 10 * 11 * 21 * 3, 342),
+        # 4x4: N = 4, whose prime 2 counts once and twice more as it divides N, takes 5 powers of 3 bits
+        (QuotientRing(4, 4), P("x^5"), 5 * 3 * 4 * 7 * 2, 4),
+    ]
+    for torus, element, work, order in cases:
+        monkeypatch.setattr(ring, "MAX_ORDER_BITS", work)
+        assert torus.order(element) == order
+        monkeypatch.setattr(ring, "MAX_ORDER_BITS", work - 1)
+        with pytest.raises(ValueError, match=f"order too large: {work} bit steps are over {work - 1}"):
+            torus.order(element)
+
+
+def test_the_benchmark_torus_stays_far_below_the_order_bound():
+    # the densest element of the 11x11 torus, 121 terms, costs under 1/1000 of the bound
+    assert 5 * 10 * 11 * 21 * (1 + 121) * 1000 < ring.MAX_ORDER_BITS

@@ -218,9 +218,12 @@ def test_period_is_linear_time():
     assert time.perf_counter() - start < 1.0
 
 
-@given(st.lists(st.integers(0, 1), min_size=1, max_size=40), st.integers(1, 4), st.integers(0, 39))
-def test_period_matches_the_quadratic_search(block, repeat, cut):
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=40), st.integers(1, 4), st.integers(0, 39),
+       st.lists(st.integers(0, 1), max_size=40))
+def test_period_matches_the_quadratic_search(block, repeat, cut, middle):
     bits = (block * repeat)[: max(1, len(block) * repeat - cut)]  # period at most len(block)
+    if middle:  # the bits again after the middle: over 32 of them recur there, maybe at no period
+        bits = bits + middle + bits
 
     def quadratic(bits):  # the least t >= 1 with bits[k] == bits[k + t] wherever both exist
         for t in range(1, len(bits) + 1):
@@ -228,6 +231,22 @@ def test_period_matches_the_quadratic_search(block, repeat, cut):
                 return t
 
     assert period(BitSeq(bits)) == quadratic(bits)
+
+
+def test_indexing_and_iterating_a_bitseq_builds_no_view():
+    import tracemalloc
+
+    s = dseq(1000003, 10**6)
+    tracemalloc.start()
+    try:
+        got = s[0], s[-1], s[5:9], list(zip(range(3), s))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the tuple view is 8 MB and would stay; iteration reads one byte a bit
+    assert peak < 2_100_000 and s._bits is None
+    assert got == (s.bits[0], s.bits[-1], s.bits[5:9], list(zip(range(3), s.bits)))
+    assert type(s[0]) is int and list(s) == list(s.bits)
 
 
 def test_period_of_aperiodic_sample_is_its_length():

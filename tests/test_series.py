@@ -229,6 +229,42 @@ def test_expansion_stops_at_its_dead_rows():
     assert first == 5 and rows[:3] == [1, 0, 2] and not any(rows[3:]) and len(rows) <= 5
 
 
+def test_the_rows_a_live_series_walks_are_bounded(monkeypatch):
+    # a row step counts its shifts, one per lower tap and two more, times the band's width, at least
+    # SERIES_ROW_BITS; the bound is on the rows beyond the window's height.  Here 3 lower taps on a
+    # band of 10 bits, and 310 rows down to x*y^-300, 300 of them beyond the 10 rows of the window
+    term, window = RationalTerm(P("x*y^-300"), P("1+x^3*y+x^3*y^2+y")), Window(9, 9)
+    want = eval_term(term, window)
+    monkeypatch.setattr(series, "MAX_SERIES_BITS", 5 * series.SERIES_ROW_BITS * 300)
+    assert eval_term(term, window) == want and want
+    monkeypatch.setattr(series, "MAX_SERIES_BITS", 5 * series.SERIES_ROW_BITS * 300 - 1)
+    with pytest.raises(ValueError, match="series too deep: still live after 309 of its 310 rows of 10 bits;"
+                                         " the 300 beyond the window's height pass over more than 6143999 bits"):
+        eval_term(term, window)
+    # a band wider than SERIES_ROW_BITS counts its width: 2 lower taps on 6028 bits
+    term = RationalTerm(P("y^-3000"), P("1+x^-1*y+x*y"))
+    monkeypatch.setattr(series, "MAX_SERIES_BITS", 4 * 6028 * 3000)
+    want = eval_term(term, window)
+    monkeypatch.setattr(series, "MAX_SERIES_BITS", 4 * 6028 * 3000 - 1)
+    with pytest.raises(ValueError, match="still live after 3009 of its 3010 rows of 6028 bits"):
+        eval_term(term, window)
+    # a series that dies within the bound is not refused however deep its numerator: 1/(1+x*y) leaves the
+    # 10-bit band at row 10, and the loop stops at row 11, the second zero row of the two it keeps
+    term = RationalTerm(P("y^-100000000"), P("1+x*y"))
+    monkeypatch.setattr(series, "MAX_SERIES_BITS", 3 * series.SERIES_ROW_BITS * 2)
+    assert eval_term(term, window) == ZERO
+    monkeypatch.setattr(series, "MAX_SERIES_BITS", 3 * series.SERIES_ROW_BITS * 2 - 1)
+    with pytest.raises(ValueError, match="still live after 11 of its 100000010 rows"):
+        eval_term(term, window)
+    # the window's own rows are not counted: 1/(1+y) is live on all 5000 rows of a window one column wide
+    tall = Window(0, 4999)
+    want = eval_term(RationalTerm(ONE, P("1+y")), tall)
+    monkeypatch.setattr(series, "MAX_SERIES_BITS", 0)
+    assert eval_term(RationalTerm(ONE, P("1+y")), tall) == want and len(want) == 5000
+    with pytest.raises(ValueError, match="still live after 5000 of its 5001 rows"):
+        eval_term(RationalTerm(P("y^-1"), P("1+y")), tall)
+
+
 def test_the_window_rows_an_expansion_writes_are_bounded(monkeypatch):
     # the list of rows written is bounded at 64 bits a row, whatever the window's width
     monkeypatch.setattr(poly, "MAX_BOX_BITS", 64 * 1000)
