@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from operator import itemgetter
 
-from .poly import Frozen
+from .poly import BIT_VALUES, Frozen
 from .sequences import BitSeq, bit_text, bit_tuple, is_bit_text
 
 SCHEMES = ("diagonal", "row_major", "col_major")
@@ -33,9 +32,12 @@ class BitGrid(Frozen):
             raise ValueError("grid must have at least one row and one column")
         if any(len(line) != len(lines[0]) for line in lines):
             raise ValueError("grid rows must all have the same length")
-        lines = tuple(line if is_bit_text(line) else bit_text(line, "cells") for line in lines)
-        object.__setattr__(self, "_lines", lines)
-        object.__setattr__(self, "_cells", None)
+        _init_grid(self, [line if is_bit_text(line) else bit_text(line, "cells") for line in lines])
+
+    @staticmethod
+    def _make(lines) -> "BitGrid":
+        # a grid of '0'/'1' rows of one length that polyplane cut itself: unchecked
+        return _init_grid(object.__new__(BitGrid), lines)
 
     @classmethod
     def from_lines(cls, text: str) -> "BitGrid":
@@ -47,8 +49,9 @@ class BitGrid(Frozen):
     @property
     def cells(self) -> tuple:
         """The rows as tuples of ints 0 and 1."""
-        if self._cells is None:
-            object.__setattr__(self, "_cells", tuple(map(bit_tuple, self._lines)))
+        if self._cells is None:  # one translate of the whole text, cut into rows by zip
+            data = "".join(self._lines).encode().translate(BIT_VALUES)
+            object.__setattr__(self, "_cells", tuple(zip(*[iter(data)] * self.cols)))
         return self._cells
 
     @property
@@ -73,6 +76,12 @@ class BitGrid(Frozen):
         return f"BitGrid({list(self._lines)})"
 
 
+def _init_grid(g: BitGrid, lines) -> BitGrid:
+    object.__setattr__(g, "_lines", tuple(lines))
+    object.__setattr__(g, "_cells", None)
+    return g
+
+
 def _check_scheme(rows: int, cols: int, scheme: str) -> None:
     if scheme == "diagonal":
         if math.gcd(rows, cols) != 1:
@@ -81,12 +90,6 @@ def _check_scheme(rows: int, cols: int, scheme: str) -> None:
             )
     elif scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def _rotate(line: str, r: int) -> str:
-    # the line rotated left by r places
-    r %= len(line)
-    return line[r:] + line[:r]
 
 
 def fold(s, rows: int, cols: int, scheme: str) -> BitGrid:
@@ -100,24 +103,30 @@ def fold(s, rows: int, cols: int, scheme: str) -> BitGrid:
         raise ValueError(f"sequence length {len(s)} != rows*cols = {rows * cols}")
     text = str(s)
     if scheme == "row_major":
-        return BitGrid([text[r * cols : (r + 1) * cols] for r in range(rows)])
-    lines = [text[r::rows] for r in range(rows)]  # the terms t = r mod rows, in order
-    if scheme == "diagonal":
-        # term r + rows*k goes to column r + rows*k mod cols: put term k of the
-        # row at column rows*k mod cols, then rotate right by r
-        inverse = pow(rows, -1, cols)
-        place = itemgetter(*[c * inverse % cols for c in range(cols)])
-        lines = [_rotate("".join(place(terms)), -r) for r, terms in enumerate(lines)]
-    return BitGrid(lines)
+        return BitGrid._make([text[r * cols : (r + 1) * cols] for r in range(rows)])
+    if scheme == "col_major":
+        return BitGrid._make([text[r::rows] for r in range(rows)])
+    # The chunk text[rows*k : rows*(k+1)] holds the terms rows*k + r, term rows*k + r going to row r,
+    # column rows*k + r mod cols.  Put chunk k at place rows*k mod cols: then placed[r::rows] is row
+    # r rotated left by r, and row r itself is one slice of placed twice over, from place -r mod cols.
+    inverse = pow(rows, -1, cols)
+    placed = "".join([text[rows * k : rows * (k + 1)] for k in (c * inverse % cols for c in range(cols))])
+    placed += placed
+    return BitGrid._make([placed[start : start + rows * cols : rows]
+                          for start in (r + rows * (-r % cols) for r in range(rows))])
 
 
 def unfold(g: BitGrid, scheme: str) -> BitSeq:
     """Read a grid back into the sequence that fold() would have consumed."""
-    _check_scheme(g.rows, g.cols, scheme)
+    rows, cols = g.rows, g.cols
+    _check_scheme(rows, cols, scheme)
     lines = g._lines
     if scheme == "row_major":
-        return BitSeq("".join(lines))
-    if scheme == "diagonal":
-        take = itemgetter(*[g.rows * k % g.cols for k in range(g.cols)])
-        lines = ["".join(take(_rotate(line, r))) for r, line in enumerate(lines)]
-    return BitSeq("".join(map("".join, zip(*lines))))
+        return BitSeq._make("".join(lines))
+    if scheme == "col_major":
+        flat = "".join(lines)
+        return BitSeq._make("".join([flat[c::cols] for c in range(cols)]))
+    # each row rotated left by r, so that column c of the rows is the chunk fold placed at c, and
+    # chunk k of the sequence is the column rows*k mod cols
+    flat = "".join([line[r % cols :] + line[: r % cols] for r, line in enumerate(lines)])
+    return BitSeq._make("".join([flat[rows * k % cols :: cols] for k in range(cols)]))

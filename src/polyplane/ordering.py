@@ -19,9 +19,11 @@ explicit length is given.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import isqrt
+from operator import add
 
-from .poly import MAX_BOX_BITS, Monomial, PatternPoly, row_text
+from .poly import MAX_BOX_BITS, Monomial, PatternPoly
 from .sequences import BitSeq
 
 ORDERINGS = ("diagonal", "boustrophedon", "meander")
@@ -70,12 +72,12 @@ def index_of(ordering: str, mono: Monomial) -> int:
 
 
 # encode and decode lay the cells out row by row in one string `width` wide,
-# cell (i, j) being character j*width + i, with width one more than the
-# number of parts so that no stride is 0.  Antidiagonal d, cells (d, 0) to
-# (0, d), is then the slice [d : d*width + 1 : width - 1]; shell s walked the
-# odd way round is column s upward, [s : s*width + s + 1 : width], then row
-# s leftward, [s*width : s*width + s] reversed.  Boustrophedon and meander
-# run their even parts the other way round.
+# cell (i, j) being character j*width + i, with width more than the number
+# of parts so that no stride is 0.  Antidiagonal d, cells (d, 0) to (0, d),
+# is then the slice [d : d*width + 1 : width - 1]; shell s walked the odd
+# way round is column s upward, [s : s*width + s + 1 : width], then row s
+# leftward, [s*width : s*width + s] reversed.  Boustrophedon and meander run
+# their even parts the other way round.
 
 
 def _walk_parts(ordering: str, size: int) -> int:
@@ -95,28 +97,39 @@ def encode(p: PatternPoly, ordering: str, length: int | None = None) -> BitSeq:
     _check_ordering(ordering)
     if p.x0 < 0 or p.y0 < 0:
         raise ValueError("polynomials with negative exponents cannot be encoded")
-    # in each ordering the last monomial of a row is at one of the row's ends
-    ends = (index_of(ordering, (p.x0 + i, j)) for j, row in enumerate(p.rows, p.y0) if row
-            for i in ((row & -row).bit_length() - 1, row.bit_length() - 1))
-    needed = max(ends, default=-1) + 1
+    rows = p.rows
+    needed = 0
+    if rows:
+        # The last part is the antidiagonal (shell) of the rows whose top bit reaches furthest.  A walk
+        # runs along a part one way, so its last cell there is the top bit of the first or the last of
+        # those rows, or, where the part runs along the last row (a shell), one end of that row.
+        reach = list(map(int.bit_length, rows))
+        if ordering != "meander":
+            reach = list(map(add, reach, range(len(rows))))
+        top = max(reach)
+        last = len(rows) - 1
+        ends = [(rows[k].bit_length() - 1, k) for k in (reach.index(top), last - reach[::-1].index(top))]
+        ends += [((rows[last] & -rows[last]).bit_length() - 1, last), (rows[last].bit_length() - 1, last)]
+        needed = max(index_of(ordering, (p.x0 + i, p.y0 + j)) for i, j in ends) + 1
     if length is None:
         length = needed
     elif length < needed:
         raise ValueError(f"length {length} too small: the support needs {needed} bits")
     if length > MAX_BOX_BITS:
         raise ValueError(f"encoding too long: {length} bits is over {MAX_BOX_BITS}")
-    count = _walk_parts(ordering, needed)
-    width = count + 1
-    rows = [0] * p.y0 + list(p.rows) + [0] * (count - p.y0 - len(p.rows))
-    grid = "".join(row_text(row << p.x0, width) for row in rows)
+    parts = _walk_parts(ordering, needed)
+    size = parts // 8 + 1  # bytes a row: the rows pack into one int, and format writes it out at once
+    width = 8 * size
+    packed = int.from_bytes(b"".join(map(int.to_bytes, rows, repeat(size), repeat("little"))), "little")
+    grid = format(packed << p.y0 * width + p.x0, f"0{parts * width}b")[::-1]
     if ordering == "meander":
         walk = [grid[s : s * width + s + 1 : width] + grid[s * width : s * width + s][::-1]
-                for s in range(count)]
+                for s in range(parts)]
     else:
-        walk = [grid[d : d * width + 1 : width - 1] for d in range(count)]
+        walk = [grid[d : d * width + 1 : width - 1] for d in range(parts)]
     if ordering != "diagonal":
         walk[::2] = [part[::-1] for part in walk[::2]]
-    return BitSeq("".join(walk)[:length].ljust(length, "0"))
+    return BitSeq._make("".join(walk)[:length].ljust(length, "0"))
 
 
 def decode(bits, ordering: str) -> PatternPoly:

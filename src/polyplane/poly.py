@@ -322,9 +322,27 @@ class PatternPoly(Frozen):
         return (self.x0, self.y0, self.rows)
 
     def __str__(self) -> str:
+        # The terms in diag_key order, without the support set: with i and j counted from the box's
+        # corner and H its height, the int (i + j)*H + j sorts as diag_key does, and row j's y text
+        # is made once.  The text is joined in batches, so no list holds a str per term.
         if not self._cols:
             return "0"
-        return "+".join(term_text(m) for m in self.terms())
+        height = len(self.rows)
+        keys, ys = [], {}
+        for j in compress(range(height), self.rows):  # the nonzero rows
+            keys += map((j * (height + 1)).__add__, map(height.__mul__, set_bits(self.rows[j])))
+            ys[j] = term_text((0, self.y0 + j))
+        keys.sort()
+        times_y = {j: "" if y == "1" else "*" + y for j, y in ys.items()}
+        x0, batch, parts = self.x0, 1 << 16, []
+        for start in range(0, len(keys), batch):
+            terms = []
+            for key in keys[start : start + batch]:
+                d, j = divmod(key, height)
+                i = x0 + d - j
+                terms.append((("x" if i == 1 else f"x^{i}") + times_y[j]) if i else ys[j])
+            parts.append("+".join(terms))
+        return "+".join(parts)
 
     def __repr__(self) -> str:
         return f"PatternPoly({str(self)!r})"

@@ -54,10 +54,7 @@ class QuotientRing(Frozen):
         stride = 2 * m - 1
         if n * stride > MAX_BOX_BITS:
             raise ValueError(f"torus too large: a residue packs into {n * stride} bits, over {MAX_BOX_BITS}")
-        rows = (1 << n * stride) - 1  # the rows 0..n-1 of the packed layout
-        cols = _every_row((1 << m) - 1, stride, rows)  # columns 0..m-1 of every row
-        wrap = _every_row((1 << m - 1) - 1, stride, rows)  # columns 0..m-2
-        vars(self).update(m=m, n=n, _stride=stride, _rows=rows, _cols=cols, _wrap=wrap)  # past Frozen.__setattr__
+        vars(self).update(m=m, n=n, _stride=stride)  # past Frozen.__setattr__
 
     def __repr__(self) -> str:
         return f"QuotientRing({self.m}, {self.n})"
@@ -99,6 +96,21 @@ class QuotientRing(Frozen):
     def _unpack(self, u: int) -> PatternPoly:
         mask = (1 << self.m) - 1
         return PatternPoly.from_rows([u >> j * self._stride & mask for j in range(self.n)])
+
+    # The masks of _fold, each as large as the layout, are built on first use, so that a call refused
+    # before its first product (an order over MAX_ORDER_BITS) builds none of them.
+
+    @cached_property
+    def _rows(self) -> int:
+        return (1 << self.n * self._stride) - 1  # the rows 0..n-1 of the packed layout
+
+    @cached_property
+    def _cols(self) -> int:
+        return _every_row((1 << self.m) - 1, self._stride, self._rows)  # columns 0..m-1 of every row
+
+    @cached_property
+    def _wrap(self) -> int:
+        return _every_row((1 << self.m - 1) - 1, self._stride, self._rows)  # columns 0..m-2
 
     def _fold(self, u: int) -> int:
         # a plain product, rows 0..2n-2 and columns 0..2m-2, to its residue

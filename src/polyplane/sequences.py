@@ -52,9 +52,12 @@ class BitSeq(Frozen):
                 raise ValueError("period hint must be positive")
             if text[period_hint:] != text[: max(len(text) - period_hint, 0)]:
                 raise ValueError(f"bits do not repeat with period {period_hint}")
-        object.__setattr__(self, "_text", text)
-        object.__setattr__(self, "period_hint", period_hint)
-        object.__setattr__(self, "_bits", None)
+        _init_seq(self, text, period_hint)
+
+    @staticmethod
+    def _make(text: str, period_hint: int | None = None) -> "BitSeq":
+        # a sequence of '0'/'1' text that polyplane built itself, with a hint that holds: unchecked
+        return _init_seq(object.__new__(BitSeq), text, period_hint)
 
     def __reduce__(self):
         return BitSeq, (self._text, self.period_hint)
@@ -86,6 +89,13 @@ class BitSeq(Frozen):
         if self.period_hint is None:
             return f"BitSeq({self._text!r})"
         return f"BitSeq({self._text!r}, period_hint={self.period_hint})"
+
+
+def _init_seq(s: BitSeq, text: str, period_hint: int | None) -> BitSeq:
+    object.__setattr__(s, "_text", text)
+    object.__setattr__(s, "period_hint", period_hint)
+    object.__setattr__(s, "_bits", None)
+    return s
 
 
 PERIOD_HEAD = 32  # the bits whose first recurrence period tries before the failure function
@@ -138,7 +148,7 @@ def dseq(p: int, count: int) -> BitSeq:
         raise ValueError(f"sequence too long: {count} bits is over {MAX_BOX_BITS}")
     # bit k is binary digit k+1 of 1/p: 2^(k+1) = p*q + r with p odd gives q = r mod 2
     bits = format((1 << count) // p, f"0{count}b")
-    return BitSeq(bits, period_hint=_order_of_two(p))
+    return BitSeq._make(bits, _order_of_two(p))
 
 
 def poly_reciprocal_seq(q: PatternPoly, count: int) -> BitSeq:
@@ -162,4 +172,4 @@ def poly_reciprocal_seq(q: PatternPoly, count: int) -> BitSeq:
     bits = row_text(expand_rows(ONE, q, Window(count - 1, 0))[1][0], count)
     packed = q.rows[0]  # with bit 0, the constant term
     degree = packed.bit_length() - 1
-    return BitSeq(bits, period_hint=order_of_x(packed) if 0 < degree <= MAX_HINT_DEGREE else None)
+    return BitSeq._make(bits, order_of_x(packed) if 0 < degree <= MAX_HINT_DEGREE else None)

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyplane.dsl import parse_poly as P
-from polyplane.poly import PIECE_BITS, ONE, X, Y, ZERO, PatternPoly, Window, bit_flags, poly_sum, set_bits
+from polyplane.poly import (
+    PIECE_BITS, ONE, X, Y, ZERO, PatternPoly, Window, bit_flags, diag_key, poly_sum, set_bits, term_text,
+)
 
 
 def rand_poly(rng, lo=0, hi=3, max_terms=5):
@@ -135,6 +137,19 @@ def test_text_form_is_diagonal_ordered():
     # antidiagonals ascending, within each antidiagonal x-heavy first
     p = PatternPoly([(0, 3), (3, 0), (1, 1), (0, 0)])
     assert str(p) == "1+x*y+x^3+y^3"
+
+
+laurent_cells = st.frozensets(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), max_size=60)
+
+
+@given(laurent_cells)
+def test_text_form_is_the_terms_in_order_and_builds_no_support(cells):
+    want = "+".join(term_text(m) for m in sorted(cells, key=diag_key)) or "0"
+    p = PatternPoly(cells)
+    fresh = PatternPoly.from_rows(p.rows).shift(p.x0, p.y0)  # no support set yet
+    assert str(fresh) == str(p) == want
+    assert fresh._support is None or not cells  # ZERO is made with its empty support
+    assert [term_text(m) for m in fresh.terms()] == (want.split("+") if cells else [])
 
 
 def test_window_validation():

@@ -277,3 +277,13 @@ def test_order_is_refused_above_its_work_bound(monkeypatch):
 def test_the_benchmark_torus_stays_far_below_the_order_bound():
     # the densest element of the 11x11 torus, 121 terms, costs under 1/1000 of the bound
     assert 5 * 10 * 11 * 21 * (1 + 121) * 1000 < ring.MAX_ORDER_BITS
+
+
+def test_a_refused_order_builds_no_mask_of_the_layout():
+    # the 8191x16383 torus packs a residue into 2^28 bits: each mask of _fold would take 32 MB
+    torus = QuotientRing(8191, 16383)
+    with pytest.raises(ValueError, match="order too large"):
+        torus.order(P("1+x+y"))
+    assert not {"_rows", "_cols", "_wrap"} & vars(torus).keys()
+    small = QuotientRing(3, 3)
+    assert small.order(P("1+x")) == 4 and {"_rows", "_cols", "_wrap"} <= vars(small).keys()

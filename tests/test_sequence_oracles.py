@@ -10,11 +10,14 @@ and message.
 """
 
 import math
+import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polyplane import ordering
 from polyplane.folding import SCHEMES, BitGrid, fold, unfold
 from polyplane.ordering import ORDERINGS, decode, encode, index_of, monomial_at
 from polyplane.poly import ZERO, PatternPoly
@@ -80,6 +83,96 @@ def test_fold_thin_shapes():
         assert fold(bits, 7, 1, scheme).cells == tuple((b,) for b in bits)
         assert unfold(fold(bits, 1, 7, scheme), scheme) == bits
         assert unfold(fold(bits, 7, 1, scheme), scheme) == bits
+
+
+def read_cells(grid, rows, cols, scheme):
+    # the sequence a grid unfolds to, one cell at a time
+    return tuple(grid[r][c] for r, c in (place(t, rows, cols, scheme) for t in range(rows * cols)))
+
+
+def test_diagonal_folds_of_one_row_or_one_column_match_per_cell_placement():
+    rng = random.Random(41)
+    for size in (1, 2, 3, 7, 64, 101):
+        bits = [rng.randrange(2) for _ in range(size)]
+        for rows, cols in ((1, size), (size, 1)):
+            grid = fold(BitSeq(bits), rows, cols, "diagonal")
+            assert grid.cells == reference_fold(bits, rows, cols, "diagonal")
+            assert unfold(grid, "diagonal").bits == read_cells(grid, rows, cols, "diagonal") == tuple(bits)
+
+
+def workload_shapes(seed, count):
+    # the shapes of the benchmark's sequence_fold: 80-100 rows, about 8000 bits, cols coprime to rows
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows = rng.randint(80, 100)
+        cols = 8000 // rows
+        while math.gcd(rows, cols) != 1:
+            cols += 1
+        yield rng, rows, cols
+
+
+def test_folds_at_the_workload_shapes_match_per_cell_placement():
+    for rng, rows, cols in workload_shapes(43, 6):
+        bits = [rng.randrange(2) for _ in range(rows * cols)]
+        for scheme in SCHEMES:
+            grid = fold(BitSeq(bits), rows, cols, scheme)
+            assert grid.cells == reference_fold(bits, rows, cols, scheme)
+            assert unfold(grid, scheme).bits == read_cells(grid, rows, cols, scheme) == tuple(bits)
+            other = BitGrid([[rng.randrange(2) for _ in range(cols)] for _ in range(rows)])
+            assert unfold(other, scheme).bits == read_cells(other, rows, cols, scheme)
+
+
+def test_codecs_at_the_workload_shapes_match_the_monomial_walks():
+    for rng, rows, cols in workload_shapes(47, 4):
+        # a dense string and one whose set bits thin out, so that the last part is nearly empty
+        dense = [rng.randrange(2) for _ in range(rows * cols)]
+        sparse = [int(rng.random() < 0.02) for _ in range(rows * cols)]
+        for bits in (dense, sparse):
+            for ordering_ in ORDERINGS:
+                poly = decode(BitSeq(bits), ordering_)
+                assert poly == reference_decode(bits, ordering_)
+                assert encode(poly, ordering_, len(bits)).bits == tuple(bits)
+                assert encode(poly, ordering_).bits == reference_encode(poly, ordering_)
+
+
+def test_encode_refuses_before_it_builds_any_part(monkeypatch):
+    # x^5000 + y is bit 12,502,500 of the diagonal walk: its parts would take about 25 MB of text
+    poly = PatternPoly([(5000, 0), (0, 1)])
+    needed = {o: index_of(o, (5000, 0)) + 1 for o in ORDERINGS}
+    monkeypatch.setattr(ordering, "MAX_BOX_BITS", 1 << 20)
+    for ordering_ in ORDERINGS:
+        for length, message in ((None, f"encoding too long: {needed[ordering_]} bits is over {1 << 20}"),
+                                (needed[ordering_] - 1, "too small: the support needs")):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=message):
+                    encode(poly, ordering_, length)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 100_000
+
+
+def test_internal_constructors_build_the_values_the_public_ones_do():
+    rng = random.Random(53)
+    for rows, cols in ((1, 1), (1, 9), (9, 1), (5, 7), (91, 89)):
+        text = "".join(rng.choice("01") for _ in range(rows * cols))
+        for scheme in SCHEMES:
+            if scheme == "diagonal" and math.gcd(rows, cols) != 1:
+                continue
+            grid = fold(text, rows, cols, scheme)
+            public = BitGrid(str(grid).split("\n"))
+            assert grid == public and hash(grid) == hash(public) and grid.cells == public.cells
+            assert pickle.loads(pickle.dumps(grid)) == grid and repr(grid) == repr(public)
+            flat = unfold(grid, scheme)
+            assert flat == BitSeq(text) and hash(flat) == hash(BitSeq(text)) and flat.bits == BitSeq(text).bits
+        for ordering_ in ORDERINGS:
+            code = encode(decode(text, ordering_), ordering_, len(text))
+            assert code == BitSeq(text) and hash(code) == hash(BitSeq(text)) and code.period_hint is None
+    for s in (dseq(1009, 3000), poly_reciprocal_seq(PatternPoly([(0, 0), (1, 0), (4, 0)]), 3000)):
+        public = BitSeq(str(s), period_hint=s.period_hint)  # checks the hint
+        assert s == public and hash(s) == hash(public) and repr(s) == repr(public)
+        assert pickle.loads(pickle.dumps(s)).period_hint == s.period_hint
 
 
 def reference_decode(bits, ordering):
